@@ -281,6 +281,9 @@ class SoAMeshNetwork:
         self.dropped_packets = 0
         # Label-bound metric handles, created on first metered step().
         self._phase_series = None
+        # Per-cycle kernel binding (see soa_step._bind), resolved on the
+        # first kernel call.
+        self._kernel = None
 
         self._install_tables()
         # All state arrays are sized by the *array* node count, which equals
@@ -761,13 +764,21 @@ class SoAMeshNetwork:
     # -- cycle advance ------------------------------------------------------
     def step(self, cycle: int) -> None:
         """Advance the network by one cycle (inject, allocate, traverse)."""
+        self._advance(cycle)
+        self._occ_samples += 1
+        self.stats.cycles = cycle + 1
+
+    def _advance(self, cycle: int) -> None:
+        """Both kernel phases (timed per phase when metrics are on), then the
+        Garnet-style windowed occupancy: this cycle's occupied fraction per
+        port, accumulated exactly as the object backend's per-port sweep."""
         if METRICS.active:
             series = self._phase_series
             if series is None:
                 hist = sim_phase_histogram()
                 series = self._phase_series = (
-                    hist.series(backend="soa", phase="inject"),
-                    hist.series(backend="soa", phase="switch"),
+                    hist.series(backend=self.backend_name, phase="inject"),
+                    hist.series(backend=self.backend_name, phase="switch"),
                 )
             start = perf_counter()
             soa_step.inject(self, cycle)
@@ -779,15 +790,11 @@ class SoAMeshNetwork:
         else:
             soa_step.inject(self, cycle)
             soa_step.switch(self, cycle)
-        # Garnet-style windowed occupancy: accumulate this cycle's occupied
-        # fraction per port, exactly as the object backend's per-port sweep.
         if self._occ_exact:
             self._occ_sum_int += self._occupied
         else:
             np.divide(self._occupied, float(self.num_vcs), out=self._occ_tmp)
             self._occ_sum += self._occ_tmp
-        self._occ_samples += 1
-        self.stats.cycles = cycle + 1
 
     # -- DL2Fence observables ------------------------------------------------
     def feature_frame(self, direction: Direction, kind) -> np.ndarray:

@@ -33,7 +33,6 @@ stats, feature frames, injection limits, flush) reading and writing the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from repro.noc.soa import (
 from repro.noc.soa_step import PKT_SHIFT, TAIL_BIT
 from repro.noc.stats import NetworkStats
 from repro.noc.topology import Direction, MeshTopology
-from repro.obs.metrics import METRICS, sim_phase_histogram
 
 __all__ = ["BatchedSoAMeshNetwork", "SoAMeshLane", "batched_tables"]
 
@@ -269,29 +267,7 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
     # -- cycle advance -------------------------------------------------------
     def step(self, cycle: int) -> None:
         """Advance every episode by one cycle in a single kernel dispatch."""
-        if METRICS.active:
-            series = self._phase_series
-            if series is None:
-                hist = sim_phase_histogram()
-                series = self._phase_series = (
-                    hist.series(backend="soa-batch", phase="inject"),
-                    hist.series(backend="soa-batch", phase="switch"),
-                )
-            start = perf_counter()
-            soa_step.inject(self, cycle)
-            mid = perf_counter()
-            soa_step.switch(self, cycle)
-            end = perf_counter()
-            series[0].observe(mid - start)
-            series[1].observe(end - mid)
-        else:
-            soa_step.inject(self, cycle)
-            soa_step.switch(self, cycle)
-        if self._occ_exact:
-            self._occ_sum_int += self._occupied
-        else:
-            np.divide(self._occupied, float(self.num_vcs), out=self._occ_tmp)
-            self._occ_sum += self._occ_tmp
+        self._advance(cycle)
         self._lane_occ_samples += 1
         next_cycle = cycle + 1
         for stats in self._lane_stats:

@@ -1,0 +1,300 @@
+/* Compiled per-cycle kernels of the structure-of-arrays NoC backend.
+ *
+ * A scalar C port of the NumPy kernels in soa_step.py: the same inject and
+ * switch phases, operating in place on the flat state arrays of
+ * SoAMeshNetwork (and of its batched disjoint-union subclass, which differs
+ * only in the tables it installs).  Every decision reproduces the NumPy
+ * kernel exactly -- candidates in ascending VC order, winners by minimum
+ * rotation key per (router, output) slot, all pops before all pushes -- so
+ * the two kernels are fingerprint-identical and the NumPy one serves as the
+ * equivalence oracle.
+ *
+ * Routing is never derived here: the output slot comes from the same
+ * precomputed tables the NumPy kernel gathers from (the fused XY
+ * route_slot table, or the fault-aware route3 table plus the bound
+ * wormhole direction).  Networks without a route table are switched by the
+ * NumPy kernel.
+ *
+ * Flit words: packet_id << 21 | is_tail << 20 | flit_index.
+ * Flat VC id:  q = (node * 5 + port_direction) * num_vcs + vc.
+ */
+
+#include <stdint.h>
+#include <string.h>
+
+#define FIDX_MASK ((INT64_C(1) << 20) - 1)
+#define TAIL_BIT (INT64_C(1) << 20)
+#define PKT_SHIFT 21
+#define KEY_PERIOD 60
+#define BIG_KEY (INT32_C(1) << 30)
+
+/* Every field is 8 bytes wide so the ctypes mirror in soa_step.py has no
+ * padding to get wrong; soa_state_size() lets the loader check the layout. */
+typedef struct {
+    int64_t num_nodes;  /* array nodes: every episode block of a batch */
+    int64_t episode_q;  /* VC slots per episode block */
+    int64_t num_vcs;
+    int64_t depth;
+    int64_t capacity;   /* source-queue ring length */
+    int64_t bandwidth;  /* injection passes per cycle */
+    int64_t dynamic;    /* 1 when the fault-aware route3 table is active */
+    /* virtual channels and ports */
+    int64_t *vc_slots;
+    int16_t *vc_head;
+    int16_t *vc_count;
+    int32_t *vc_alloc;
+    int32_t *vc_down;
+    int16_t *port_first_free;
+    int64_t *node_vc;
+    int64_t *buf_writes;
+    int64_t *buf_reads;
+    int64_t *occupied;
+    /* source queues and injection limits */
+    int64_t *sq_flat;
+    int64_t *sq_head;
+    int64_t *sq_count;
+    double *limits;
+    double *allowance;
+    /* packet registry columns */
+    int64_t *pkt_dest;
+    int64_t *pkt_injected;
+    /* lookup tables */
+    const int32_t *key_table;  /* (KEY_PERIOD, num_vc_slots), rows repeat per episode */
+    const int64_t *down_port;
+    const int32_t *route_slot;
+    const int64_t *q_node_base;
+    const int32_t *q_slot_off; /* NULL outside the batched union */
+    const int8_t *route3;
+    const int64_t *q_state_base;
+    const int64_t *opposite;
+    /* scratch and outputs */
+    int32_t *best;             /* per slot, BIG_KEY between calls */
+    void *cand;                /* Candidate scratch, one per VC slot */
+    int64_t *pass_nodes;       /* inject revisit list */
+    int64_t *out_pids;         /* injected new-head packet ids */
+    int64_t *out_nodes;        /* ejections: node, tail flag, packet id */
+    uint8_t *out_tails;
+    int64_t *out_eject_pids;
+} SoaState;
+
+/* One switch candidate: an occupied VC that could move this cycle. */
+typedef struct {
+    int64_t val;   /* head-of-line flit word */
+    int32_t q;     /* source VC */
+    int32_t slot;  /* (router, output) arbitration slot */
+    int32_t down;  /* downstream VC, -1 when ejecting */
+    int32_t key;   /* rotation priority, lower wins */
+} Candidate;
+
+int64_t soa_state_size(void) { return (int64_t)sizeof(SoaState); }
+int64_t soa_candidate_size(void) { return (int64_t)sizeof(Candidate); }
+
+/* First unallocated VC of ``port``, or num_vcs when every VC is taken. */
+static void refresh_first_free(SoaState *s, int64_t port) {
+    const int64_t v = s->num_vcs;
+    const int32_t *alloc = s->vc_alloc + port * v;
+    int64_t first = 0;
+    while (first < v && alloc[first] != -1) first++;
+    s->port_first_free[port] = (int16_t)first;
+}
+
+/* One injection attempt at ``node``; returns 1 when a flit entered. */
+static int inject_node(SoaState *s, int64_t node, int64_t cycle, int64_t *recorded) {
+    const int64_t front = s->sq_head[node];
+    const int64_t val = s->sq_flat[node * s->capacity + front];
+    const int64_t pkt = val >> PKT_SHIFT;
+    const int is_head = (val & FIDX_MASK) == 0;
+    const int new_head = is_head && s->pkt_injected[pkt] < 0;
+    const int throttled = s->limits[node] < 1.0;
+    if (throttled && new_head && s->allowance[node] < 1.0) return 0;
+
+    /* LOCAL-port VC: heads take the port's first free VC, body and tail
+     * flits continue in the VC their head entered. */
+    const int64_t local_port = node * 5;
+    int64_t vc;
+    if (is_head) {
+        const int64_t first = s->port_first_free[local_port];
+        if (first >= s->num_vcs) return 0;
+        vc = local_port * s->num_vcs + first;
+    } else {
+        vc = s->node_vc[node];
+        if (s->vc_count[vc] >= s->depth) return 0;
+    }
+
+    s->sq_head[node] = front + 1 == s->capacity ? 0 : front + 1;
+    s->sq_count[node] -= 1;
+    int64_t pos = s->vc_head[vc] + s->vc_count[vc];
+    if (pos >= s->depth) pos -= s->depth;
+    s->vc_slots[vc * s->depth + pos] = val;
+    s->vc_count[vc] += 1;
+    s->buf_writes[local_port] += 1;
+    if (is_head) {
+        s->vc_alloc[vc] = (int32_t)pkt;
+        s->vc_down[vc] = -1;
+        s->node_vc[node] = vc;
+        s->occupied[local_port] += 1;
+        refresh_first_free(s, local_port);
+    }
+    if (throttled) s->allowance[node] -= 1.0;
+    if (new_head) {
+        s->pkt_injected[pkt] = cycle;
+        s->out_pids[(*recorded)++] = pkt;
+    }
+    return 1;
+}
+
+/* Injection phase.  Returns the number of new-head packet ids written to
+ * out_pids, in the NumPy kernel's order (pass by pass, ascending node). */
+int64_t soa_inject(SoaState *s, int64_t cycle) {
+    const double bandwidth = (double)s->bandwidth;
+    const int multipass = s->bandwidth > 1;
+    int64_t recorded = 0;
+    int64_t revisit = 0;
+    for (int64_t node = 0; node < s->num_nodes; node++) {
+        if (s->limits[node] < 1.0) {
+            /* Fractional credit, capped at one cycle's worth (separate
+             * multiply and add: no FMA contraction). */
+            const double credit = s->allowance[node] + s->limits[node] * bandwidth;
+            s->allowance[node] = credit < bandwidth ? credit : bandwidth;
+        }
+        if (s->sq_count[node] > 0 && inject_node(s, node, cycle, &recorded) && multipass
+            && s->sq_count[node] > 0)
+            s->pass_nodes[revisit++] = node;
+    }
+    for (int64_t pass = 1; pass < s->bandwidth && revisit; pass++) {
+        int64_t kept = 0;
+        for (int64_t i = 0; i < revisit; i++) {
+            const int64_t node = s->pass_nodes[i];
+            if (inject_node(s, node, cycle, &recorded) && s->sq_count[node] > 0)
+                s->pass_nodes[kept++] = node;
+        }
+        revisit = kept;
+    }
+    return recorded;
+}
+
+/* Switch allocation plus link traversal.  Returns the number of ejections
+ * written to out_nodes/out_tails/out_eject_pids (ascending node order), or
+ * -1 when an unroutable head reached the switch (excision invariant). */
+int64_t soa_switch(SoaState *s, int64_t cycle) {
+    const int64_t v = s->num_vcs;
+    const int64_t depth = s->depth;
+    const int64_t num_q = s->num_nodes * 5 * v;
+    /* The batched union tiles one episode's key row, so only the row's
+     * first block is read (episode-local VC id): it stays cache resident. */
+    const int32_t *keys = s->key_table + (cycle % KEY_PERIOD) * num_q;
+    const int16_t *count = s->vc_count;
+    const int16_t *vc_head = s->vc_head;
+    const int64_t *vc_slots = s->vc_slots;
+    const int32_t *vc_down = s->vc_down;
+    const int64_t *pkt_dest = s->pkt_dest;
+    const int16_t *first_free = s->port_first_free;
+    const int64_t *down_port = s->down_port;
+    int32_t *best = s->best;
+    Candidate *cand = s->cand;
+    int64_t n = 0;
+    int64_t block = 0; /* first VC of the current episode block */
+
+    /* Candidates: every occupied VC's head-of-line flit, decided on
+     * start-of-cycle state.  Ineligible ones can never win and are dropped.
+     * Most VCs are empty, so the scan skips four counts per 64-bit word. */
+    for (int64_t q = 0; q < num_q; q++) {
+        if ((q & 3) == 0 && q + 4 <= num_q) {
+            uint64_t word;
+            memcpy(&word, count + q, sizeof word);
+            if (word == 0) {
+                q += 3;
+                continue;
+            }
+        }
+        if (count[q] <= 0) continue;
+        const int64_t val = vc_slots[q * depth + vc_head[q]];
+        const int64_t dest = pkt_dest[val >> PKT_SHIFT];
+        const int64_t cached = vc_down[q];
+        int64_t slot;
+        if (s->dynamic) {
+            /* A live wormhole binding fixes the output its head took. */
+            const int64_t out_dir = cached >= 0 ? s->opposite[(cached / v) % 5]
+                                                : s->route3[s->q_state_base[q] + dest];
+            if (out_dir < 0) {
+                for (int64_t i = 0; i < n; i++) best[cand[i].slot] = BIG_KEY;
+                return -1;
+            }
+            const int64_t port = q / v;
+            slot = port - port % 5 + out_dir;
+        } else {
+            slot = s->route_slot[s->q_node_base[q] + dest];
+            if (s->q_slot_off) slot += s->q_slot_off[q];
+        }
+        const int eject = slot % 5 == 0;
+        int64_t down = cached >= 0 && count[cached] < depth ? cached : -1;
+        if ((val & FIDX_MASK) == 0 && !eject) {
+            const int64_t port = down_port[slot];
+            const int64_t first = first_free[port];
+            down = first < v ? port * v + first : -1;
+        }
+        if (!eject && down < 0) continue;
+        while (q - block >= s->episode_q) block += s->episode_q;
+        const int32_t key = keys[q - block];
+        if (key < best[slot]) best[slot] = key;
+        cand[n].val = val;
+        cand[n].q = (int32_t)q;
+        cand[n].slot = (int32_t)slot;
+        cand[n].down = (int32_t)down;
+        cand[n].key = key;
+        n++;
+    }
+
+    /* Winners -- the minimum key of each slot; keys are unique within a
+     * slot -- compacted in ascending VC order.  Pops apply as winners are
+     * found: every decision was already taken on start-of-cycle state. */
+    int64_t winners = 0;
+    int64_t ejected = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const Candidate c = cand[i];
+        if (c.key != best[c.slot]) continue;
+        best[c.slot] = BIG_KEY;
+        const int64_t q = c.q;
+        const int64_t port = q / v;
+        const int64_t head = s->vc_head[q] + 1;
+        s->vc_head[q] = (int16_t)(head == depth ? 0 : head);
+        s->vc_count[q] -= 1;
+        s->buf_reads[port] += 1;
+        if (c.val & TAIL_BIT) {
+            s->vc_alloc[q] = -1;
+            s->vc_down[q] = -1;
+            s->occupied[port] -= 1;
+            if (q % v < s->port_first_free[port]) s->port_first_free[port] = (int16_t)(q % v);
+        }
+        if (c.slot % 5 == 0) {
+            s->out_nodes[ejected] = port / 5;
+            s->out_tails[ejected] = (c.val & TAIL_BIT) != 0;
+            s->out_eject_pids[ejected] = c.val >> PKT_SHIFT;
+            ejected++;
+            continue;
+        }
+        cand[winners++] = c;
+    }
+
+    /* Link traversals, after every pop (distinct destination VCs). */
+    for (int64_t i = 0; i < winners; i++) {
+        const int64_t src = cand[i].q;
+        const int64_t dst = cand[i].down;
+        const int64_t val = cand[i].val;
+        const int64_t port = dst / v;
+        int64_t pos = s->vc_head[dst] + s->vc_count[dst];
+        if (pos >= depth) pos -= depth;
+        s->vc_slots[dst * depth + pos] = val;
+        s->vc_count[dst] += 1;
+        s->buf_writes[port] += 1;
+        if ((val & FIDX_MASK) == 0) {
+            s->vc_alloc[dst] = (int32_t)(val >> PKT_SHIFT);
+            s->vc_down[dst] = -1;
+            s->occupied[port] += 1;
+            refresh_first_free(s, port);
+        }
+        /* Wormhole: body flits follow the head; the tail releases. */
+        s->vc_down[src] = val & TAIL_BIT ? -1 : (int32_t)dst;
+    }
+    return ejected;
+}

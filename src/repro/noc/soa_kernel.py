@@ -1,0 +1,287 @@
+"""Build, cache and bind the compiled SoA kernels of ``soa_kernel.c``.
+
+The C file is compiled lazily — on the first kernel call of a process, not
+at import — with a plain ``gcc -O2 -shared -fPIC -ffp-contract=off`` and
+loaded through :mod:`ctypes` (no new dependency).  ``-ffp-contract=off``
+keeps the throttle-credit update a separate float64 multiply and add, so it
+rounds exactly like NumPy's two ufunc calls; ``-ffast-math`` and
+``-march=native`` are never used for the same reason.
+
+Builds live under the hidden ``.kernels/`` directory of the artifact-cache
+root (:func:`repro.runtime.cache.default_cache_root`), one subdirectory per
+SHA-256 of source, flags and compiler version, so a changed source or
+compiler can never load a stale library.  The library is compiled to a
+temporary name and moved into place with ``os.replace``; a checksum file
+written next to it is verified before every load, so a truncated or
+modified ``.so`` is rebuilt instead of loaded.  Hidden directories are not
+cache entries, so size-cap eviction never deletes a build.
+
+:class:`CompiledKernel` binds one network: a ``SoaState`` struct of array
+pointers built once, refreshed only when the packet-registry columns grow
+or data-plane faults install the fault-aware route table.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import uuid
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+
+__all__ = [
+    "CFLAGS",
+    "CompiledKernel",
+    "KernelBuildError",
+    "find_compiler",
+    "kernel_root",
+    "load_library",
+]
+
+SOURCE = Path(__file__).with_name("soa_kernel.c")
+CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+LIBRARY_NAME = "soa_kernel.so"
+_BIG_KEY = 1 << 30
+#: Bytes per switch candidate (``Candidate`` in soa_kernel.c).
+_CANDIDATE_BYTES = 24
+
+#: ``SoaState`` of soa_kernel.c, field for field (every field 8 bytes wide).
+_INT_FIELDS = (
+    "num_nodes", "episode_q", "num_vcs", "depth", "capacity", "bandwidth", "dynamic"
+)  # fmt: skip
+_POINTER_FIELDS = (
+    "vc_slots", "vc_head", "vc_count", "vc_alloc", "vc_down", "port_first_free",
+    "node_vc", "buf_writes", "buf_reads", "occupied",
+    "sq_flat", "sq_head", "sq_count", "limits", "allowance",
+    "pkt_dest", "pkt_injected",
+    "key_table", "down_port", "route_slot", "q_node_base", "q_slot_off",
+    "route3", "q_state_base", "opposite",
+    "best", "cand", "pass_nodes", "out_pids", "out_nodes", "out_tails",
+    "out_eject_pids",
+)  # fmt: skip
+
+
+#: Element type the C side reads through each pointer field.
+_DTYPES = {
+    "vc_head": np.int16, "vc_count": np.int16, "port_first_free": np.int16,
+    "vc_alloc": np.int32, "vc_down": np.int32, "key_table": np.int32,
+    "route_slot": np.int32, "q_slot_off": np.int32, "best": np.int32,
+    "route3": np.int8, "out_tails": np.bool_, "cand": np.uint8,
+    "limits": np.float64, "allowance": np.float64,
+}  # fmt: skip
+
+
+class _SoaState(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_int64) for name in _INT_FIELDS] + [
+        (name, ctypes.c_void_p) for name in _POINTER_FIELDS
+    ]
+
+
+class KernelBuildError(RuntimeError):
+    """The compiled kernel could not be built or loaded."""
+
+
+def find_compiler() -> str | None:
+    """Path of the C compiler used for the kernel build (None if absent)."""
+    return shutil.which("gcc") or shutil.which("cc")
+
+
+def kernel_root() -> Path:
+    """Hidden build directory under the artifact-cache root."""
+    # Imported here: importing repro.runtime imports the simulator.
+    from repro.runtime.cache import default_cache_root
+
+    return default_cache_root() / ".kernels"
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _build_key(compiler: str) -> str:
+    try:
+        version = subprocess.run(
+            [compiler, "--version"], capture_output=True, text=True, timeout=30
+        ).stdout
+    except OSError as error:
+        raise KernelBuildError(f"cannot run {compiler}: {error}") from error
+    sha = hashlib.sha256(SOURCE.read_bytes())
+    sha.update("\0".join(CFLAGS).encode())
+    sha.update(version.encode())
+    return sha.hexdigest()
+
+
+def _verified(library: Path) -> bool:
+    """Whether ``library`` exists and matches the checksum written with it."""
+    checksum = library.with_name(library.name + ".sha256")
+    try:
+        return checksum.read_text().strip() == _sha256(library)
+    except OSError:
+        return False
+
+
+def _build(compiler: str, library: Path) -> None:
+    library.parent.mkdir(parents=True, exist_ok=True)
+    tag = f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+    staged = library.with_name(library.name + tag)
+    checksum = library.with_name(library.name + ".sha256")
+    staged_checksum = checksum.with_name(checksum.name + tag)
+    try:
+        result = subprocess.run(
+            [compiler, *CFLAGS, "-o", str(staged), str(SOURCE)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        if result.returncode != 0:
+            raise KernelBuildError(f"{compiler} failed: {result.stderr.strip()}")
+        staged_checksum.write_text(_sha256(staged) + "\n")
+        os.replace(staged, library)
+        os.replace(staged_checksum, checksum)
+    except OSError as error:
+        raise KernelBuildError(f"cannot build {library}: {error}") from error
+    finally:
+        staged.unlink(missing_ok=True)
+        staged_checksum.unlink(missing_ok=True)
+
+
+def load_library(root: Path | None = None) -> ctypes.CDLL:
+    """Build (when missing, stale or corrupt) and load the kernel library.
+
+    Raises :class:`KernelBuildError` when no compiler exists, the build
+    fails, or the loaded library's struct layout disagrees with ours.
+    """
+    compiler = find_compiler()
+    if compiler is None:
+        raise KernelBuildError("no C compiler (gcc/cc) on PATH")
+    directory = (kernel_root() if root is None else root) / _build_key(compiler)
+    library = directory / LIBRARY_NAME
+    if not _verified(library):
+        _build(compiler, library)
+    try:
+        lib = ctypes.CDLL(str(library))
+    except OSError as error:
+        raise KernelBuildError(f"cannot load {library}: {error}") from error
+    for name in ("soa_state_size", "soa_candidate_size"):
+        getattr(lib, name).restype = ctypes.c_int64
+        getattr(lib, name).argtypes = []
+    if (lib.soa_state_size(), lib.soa_candidate_size()) != (
+        ctypes.sizeof(_SoaState),
+        _CANDIDATE_BYTES,
+    ):
+        raise KernelBuildError("struct layout mismatch between C and ctypes")
+    for name in ("soa_inject", "soa_switch"):
+        function = getattr(lib, name)
+        function.restype = ctypes.c_int64
+        function.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    return lib
+
+
+def _pointer(
+    name: str, array: np.ndarray | None, size: int | None = None
+) -> int | None:
+    """Address of ``array`` after checking it matches the C field's type and,
+    when given, its element count."""
+    if array is None:
+        return None
+    expected = np.dtype(_DTYPES.get(name, np.int64))
+    if array.dtype != expected or not array.flags.c_contiguous:
+        raise TypeError(f"kernel array {name} must be C-contiguous {expected}")
+    if size is not None and array.size != size:
+        raise ValueError(f"kernel array {name}: {array.size} elements, expected {size}")
+    return array.ctypes.data
+
+
+class CompiledKernel:
+    """One network's binding to the compiled kernels.
+
+    Holds a reference to every array whose address sits in the struct, so
+    the C side can never write through a dangling pointer.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, net) -> None:
+        from repro.noc.soa_step import KEY_PERIOD  # soa_step imports this module
+
+        nodes = net._array_nodes
+        num_ports = nodes * 5
+        num_q = self.num_q = num_ports * net.num_vcs
+        self.best = np.full(num_ports, _BIG_KEY, dtype=np.int32)
+        self.cand = np.empty(num_q * _CANDIDATE_BYTES, dtype=np.uint8)
+        self.pass_nodes = np.empty(nodes, dtype=np.int64)
+        self.out_pids = np.empty(nodes * net.injection_bandwidth, dtype=np.int64)
+        self.out_nodes = np.empty(nodes, dtype=np.int64)
+        self.out_tails = np.empty(nodes, dtype=bool)
+        self.out_eject_pids = np.empty(nodes, dtype=np.int64)
+        episode_nodes = net.topology.num_nodes
+        # (array, element count the C side indexes up to).
+        self._arrays = {
+            "vc_slots": (net._vc_slots, num_q * net.vc_depth),
+            "vc_head": (net._vc_head, num_q),
+            "vc_count": (net._vc_count, num_q),
+            "vc_alloc": (net._vc_alloc, num_q),
+            "vc_down": (net._vc_down, num_q),
+            "port_first_free": (net._port_first_free, num_ports),
+            "node_vc": (net._node_vc, nodes),
+            "buf_writes": (net._buf_writes, num_ports),
+            "buf_reads": (net._buf_reads, num_ports),
+            "occupied": (net._occupied, num_ports),
+            "sq_flat": (net._sq_flat, nodes * net.source_queue_capacity),
+            "sq_head": (net._sq_head, nodes),
+            "sq_count": (net._sq_count, nodes),
+            "limits": (net._limits, nodes),
+            "allowance": (net._allowance, nodes),
+            "key_table": (net._key_table, KEY_PERIOD * num_q),
+            "down_port": (net._down_port, num_ports),
+            "route_slot": (net._route_slot, episode_nodes * episode_nodes),
+            "q_node_base": (net._q_node_base, num_q),
+            "q_slot_off": (net._q_slot_off, num_q),
+            "opposite": (net._tables.opposite, 5),
+            "best": (self.best, num_ports),
+            "cand": (self.cand, num_q * _CANDIDATE_BYTES),
+            "pass_nodes": (self.pass_nodes, nodes),
+            "out_pids": (self.out_pids, nodes * net.injection_bandwidth),
+            "out_nodes": (self.out_nodes, nodes),
+            "out_tails": (self.out_tails, nodes),
+            "out_eject_pids": (self.out_eject_pids, nodes),
+        }
+        self.state = _SoaState(
+            num_nodes=nodes,
+            episode_q=episode_nodes * 5 * net.num_vcs,
+            num_vcs=net.num_vcs,
+            depth=net.vc_depth,
+            capacity=net.source_queue_capacity,
+            bandwidth=net.injection_bandwidth,
+            **{name: _pointer(name, *entry) for name, entry in self._arrays.items()},
+        )
+        # ``inject(cycle)`` / ``switch(cycle)``: straight into C, no Python
+        # frame.  inject returns the new-head count written to out_pids;
+        # switch the ejection count (out_nodes/out_tails/out_eject_pids), or
+        # -1 when an unroutable head reached it.
+        address = ctypes.addressof(self.state)
+        self.inject = partial(lib.soa_inject, address)
+        self.switch = partial(lib.soa_switch, address)
+        self.refresh(net)
+
+    def refresh(self, net) -> None:
+        """Re-point the registry columns and the fault-aware route table."""
+        self.injected_ref = net._pkt_injected._data
+        self.dest_ref = net._pkt_dest._data
+        self.route3_ref = net._route3
+        self.q_state_base_ref = net._q_state_base
+        state = self.state
+        state.pkt_injected = _pointer("pkt_injected", self.injected_ref)
+        state.pkt_dest = _pointer("pkt_dest", self.dest_ref)
+        episode_nodes = net.topology.num_nodes
+        state.route3 = _pointer(
+            "route3", self.route3_ref, episode_nodes * 5 * episode_nodes
+        )
+        state.q_state_base = _pointer("q_state_base", self.q_state_base_ref, self.num_q)
+        state.dynamic = 1 if net._dynamic_routes else 0
+        # Without a route table (past the cut-over) routing is derived on the
+        # fly, which only the NumPy kernel does.
+        self.routes = bool(net._dynamic_routes) or net._route_slot is not None

@@ -34,13 +34,33 @@ arbitration lookups come from tables precomputed per topology (see
 downstream-port base per ``(router, output)`` pair, and the rotation
 priority key per VC for each of the 60 (= lcm of 3/4/5-port routers)
 arbitration phases.
+
+The same two phases also exist as a compiled C kernel
+(:mod:`repro.noc.soa_kernel`), one call per phase instead of ~80 NumPy
+dispatches per cycle.  :func:`inject` and :func:`switch` stay the only entry
+points and dispatch to it when it is selected and builds; the NumPy kernels
+below are the fallback and the equivalence oracle (:func:`use_kernel`).
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-__all__ = ["inject", "switch", "FIDX_MASK", "TAIL_BIT", "PKT_SHIFT", "KEY_PERIOD"]
+from repro.noc import soa_kernel
+
+__all__ = [
+    "inject",
+    "switch",
+    "use_kernel",
+    "active_kernel",
+    "KERNELS",
+    "FIDX_MASK",
+    "TAIL_BIT",
+    "PKT_SHIFT",
+    "KEY_PERIOD",
+]
 
 #: Packed flit layout: low 20 bits flit index, bit 20 the tail flag, the
 #: packet id above.  Packet sizes are bounded by the source queue capacity,
@@ -65,10 +85,88 @@ def _wrap(value: np.ndarray, modulus: int, mask: int | None) -> np.ndarray:
     return value & mask if mask is not None else value % modulus
 
 
+# -- kernel selection --------------------------------------------------------
+
+#: Selectable per-cycle kernels; ``compiled`` is the default.
+KERNELS = ("compiled", "numpy")
+
+_requested = "compiled"
+#: Loaded kernel library: None until the first kernel call resolves it,
+#: False when the build failed (the NumPy kernel runs instead).
+_library = None
+#: Bumped on every selection so per-network bindings re-resolve.
+_generation = 0
+
+
+def use_kernel(name: str) -> str:
+    """Select the per-cycle kernel for every network (``compiled``/``numpy``).
+
+    Returns the previous selection.  Selecting ``compiled`` again retries a
+    build that failed earlier; the build itself still happens lazily, on
+    the next kernel call.
+    """
+    global _requested, _library, _generation
+    if name not in KERNELS:
+        raise ValueError(f"unknown kernel {name!r}; expected one of {KERNELS}")
+    previous, _requested = _requested, name
+    if _library is False:
+        _library = None
+    _generation += 1
+    return previous
+
+
+def active_kernel() -> str:
+    """The kernel that runs now: ``compiled``, or ``numpy`` when selected or
+    when the build failed (resolving — and building — it if needed)."""
+    return "compiled" if _resolve_library() else "numpy"
+
+
+def _resolve_library():
+    global _library
+    if _requested != "compiled":
+        return None
+    if _library is None:
+        try:
+            _library = soa_kernel.load_library()
+        except soa_kernel.KernelBuildError as error:
+            _library = False
+            warnings.warn(
+                f"compiled SoA kernel unavailable ({error}); using the NumPy "
+                "kernel (identical results, slower)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return _library or None
+
+
+def _bind(net):
+    """Resolve ``net``'s kernel: ``(generation, CompiledKernel | None)``."""
+    library = _resolve_library()
+    kernel = soa_kernel.CompiledKernel(library, net) if library is not None else None
+    net._kernel = (_generation, kernel)
+    return net._kernel
+
+
 # -- phase 1: injection -------------------------------------------------------
 
 
 def inject(net, cycle: int) -> None:
+    """Injection phase of one cycle, on the selected kernel."""
+    binding = net._kernel
+    if binding is None or binding[0] != _generation:
+        binding = _bind(net)
+    kernel = binding[1]
+    if kernel is None:
+        _inject_numpy(net, cycle)
+        return
+    if net._pkt_injected._data is not kernel.injected_ref:
+        kernel.refresh(net)
+    count = kernel.inject(cycle)
+    if count:
+        net._record_injected_ids(kernel.out_pids[:count], cycle)
+
+
+def _inject_numpy(net, cycle: int) -> None:
     """Move flits from source queues into LOCAL input ports (one cycle).
 
     Mirrors ``MeshNetwork._inject``: throttled nodes first accrue fractional
@@ -196,6 +294,32 @@ def _refresh_first_free(net, ports: np.ndarray) -> None:
 
 
 def switch(net, cycle: int) -> None:
+    """Allocate and execute this cycle's flit moves, on the selected kernel."""
+    binding = net._kernel
+    if binding is None or binding[0] != _generation:
+        binding = _bind(net)
+    kernel = binding[1]
+    if kernel is not None and (
+        net._pkt_dest._data is not kernel.dest_ref
+        or net._route3 is not kernel.route3_ref
+    ):
+        kernel.refresh(net)
+    if kernel is None or not kernel.routes:
+        _switch_numpy(net, cycle)
+        return
+    count = kernel.switch(cycle)
+    if count:
+        if count < 0:  # pragma: no cover - excision invariant
+            raise RuntimeError("unroutable head reached the switch kernel")
+        net._record_ejections(
+            kernel.out_nodes[:count],
+            kernel.out_tails[:count],
+            kernel.out_eject_pids[:count],
+            cycle,
+        )
+
+
+def _switch_numpy(net, cycle: int) -> None:
     """Allocate and execute this cycle's flit moves over the whole mesh."""
     num_vcs = net.num_vcs
     depth = net.vc_depth

@@ -23,11 +23,37 @@ os.environ["REPRO_WORKERS"] = "1"
 from repro.core.config import DL2FenceConfig
 from repro.core.pipeline import DL2Fence
 from repro.monitor.dataset import DatasetBuilder, DatasetConfig
+from repro.noc import soa_kernel, soa_step
 from repro.noc.topology import MeshTopology
 from repro.traffic.scenario import AttackScenario
 
 
 SMALL_ROWS = 6
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_cache_root(tmp_path_factory):
+    """Keep the cache root — where the compiled SoA kernel is built on first
+    use — inside the session's temp directory instead of the user's cache."""
+    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("cache-root"))
+
+
+@pytest.fixture(params=soa_step.KERNELS)
+def soa_kernel_name(request):
+    """Run the test once per SoA per-cycle kernel (``compiled``, ``numpy``).
+
+    The compiled leg is skipped only when no C compiler exists; with one, a
+    failed build fails the test instead of silently running NumPy twice.
+    """
+    name = request.param
+    if name == "compiled" and soa_kernel.find_compiler() is None:
+        pytest.skip("no C compiler for the compiled SoA kernel")
+    previous = soa_step.use_kernel(name)
+    try:
+        assert soa_step.active_kernel() == name
+        yield name
+    finally:
+        soa_step.use_kernel(previous)
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,9 @@ from repro.traffic.synthetic import UniformRandomTraffic
 
 SAMPLE_PERIOD = 64
 
+# Every test runs under both SoA per-cycle kernels (see conftest).
+pytestmark = pytest.mark.usefixtures("soa_kernel_name")
+
 
 def _packet_key(packet):
     return (

@@ -20,6 +20,9 @@ from repro.traffic.synthetic import UniformRandomTraffic
 
 from .test_soa_equivalence import assert_same_samples, assert_same_stats
 
+# Every test runs under both SoA per-cycle kernels (see conftest).
+pytestmark = pytest.mark.usefixtures("soa_kernel_name")
+
 
 def _flooded(backend, rows=6, cycles=450, seed=0):
     simulator = NoCSimulator(

@@ -22,6 +22,9 @@ from repro.traffic.synthetic import UniformRandomTraffic, make_synthetic_traffic
 
 BACKENDS = ("soa", "object")
 
+# Every test runs under both SoA per-cycle kernels (see conftest).
+pytestmark = pytest.mark.usefixtures("soa_kernel_name")
+
 
 def _packet_key(packet):
     return (
@@ -151,6 +154,63 @@ class TestFrameFingerprints:
             return simulator
 
         assert_same_stats(build("soa"), build("object"))
+
+
+class TestKernelShapes:
+    """Buffer shapes where a kernel port drifts first.
+
+    Non-power-of-two VC depths take the modulo ring wrap, injection
+    bandwidth above one takes the multi-pass inject (with throttled nodes,
+    so the credit cap is ``bandwidth``), and small non-power-of-two source
+    queues wrap their ring and drop packets.
+    """
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"vc_depth": 3},
+            {"vc_depth": 5},
+            {"injection_bandwidth": 2},
+            {"injection_bandwidth": 3},
+            {"source_queue_capacity": 7},
+            {"source_queue_capacity": 24},
+        ],
+        ids=lambda shape: "-".join(f"{k}={v}" for k, v in shape.items()),
+    )
+    def test_shape_matches_object_backend(self, shape):
+        def run(backend):
+            simulator = NoCSimulator(
+                SimulationConfig(
+                    rows=5, warmup_cycles=16, seed=0, backend=backend, **shape
+                )
+            )
+            simulator.add_source(
+                UniformRandomTraffic(simulator.topology, injection_rate=0.08, seed=1)
+            )
+            simulator.add_source(
+                FloodingAttacker(
+                    FloodingConfig(attackers=(24, 3), victim=1, fir=0.7),
+                    simulator.topology,
+                    seed=2,
+                )
+            )
+            monitor = GlobalPerformanceMonitor(MonitorConfig(sample_period=64)).attach(
+                simulator
+            )
+            simulator.run(250)
+            # The flooder is always backlogged; the mostly idle benign node
+            # banks credit up to the ``bandwidth`` cap between packets.
+            simulator.throttle_node(24, 0.3)
+            simulator.throttle_node(12, 0.5)
+            simulator.run(250)
+            return simulator, monitor
+
+        soa, soa_monitor = run("soa")
+        obj, obj_monitor = run("object")
+        assert_same_samples(soa_monitor, obj_monitor)
+        assert_same_stats(soa, obj)
+        if "source_queue_capacity" in shape:
+            assert soa.network.dropped_packets > 0
 
 
 class TestDefenseHookFingerprints:
