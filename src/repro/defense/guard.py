@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +149,7 @@ class DL2FenceGuard:
         # a guard to a simulator without attach(), so the mesh size is only
         # reliably known once a sample arrives).
         self.evidence: EvidenceAccumulator | None = None
-        self.simulator: NoCSimulator | None = None
+        self._simulator = None
         self.monitor: GlobalPerformanceMonitor | None = None
         self.report = DefenseReport(
             policy=self.policy,
@@ -189,6 +190,19 @@ class DL2FenceGuard:
         self._adaptive_limit: float | None = None
 
     # -- wiring ------------------------------------------------------------
+    @property
+    def simulator(self) -> NoCSimulator | None:
+        """The simulator this guard is wired to (``None`` once it is gone)."""
+        return self._simulator() if self._simulator is not None else None
+
+    @simulator.setter
+    def simulator(self, simulator: NoCSimulator | None) -> None:
+        # Held weakly: the simulator already reaches this guard through its
+        # monitor's observer and listener callbacks, and a strong reference
+        # back would leave the whole episode, network arrays included, in a
+        # reference cycle that only the cyclic garbage collector frees.
+        self._simulator = weakref.ref(simulator) if simulator is not None else None
+
     def attach(
         self,
         simulator: NoCSimulator,
@@ -853,28 +867,26 @@ class DL2FenceGuard:
         created under the fence, measuring the quality of the fenced
         network itself.  Before any engagement everything counts as fresh.
         """
-        delivered = simulator.stats.delivered
-        new = delivered[self._delivered_index :]
-        self._delivered_index = len(delivered)
-        benign = [p for p in new if not p.is_malicious]
-        malicious_count = len(new) - len(benign)
-        latencies = [p.total_latency() for p in benign]
-        mean = float(np.mean(latencies)) if latencies else math.nan
+        view = simulator.stats.delivered_view(self._delivered_index)
+        self._delivered_index += len(view)
+        benign = ~view.malicious
+        latencies = (view.ejected - view.created)[benign]
+        mean = float(np.mean(latencies)) if latencies.size else math.nan
         epoch = self._containment_epoch
         if epoch is None:
             fresh_latencies = latencies
         else:
-            fresh_latencies = [
-                p.total_latency() for p in benign if p.created_cycle >= epoch
-            ]
-        fresh_mean = float(np.mean(fresh_latencies)) if fresh_latencies else math.nan
+            fresh_latencies = latencies[view.created[benign] >= epoch]
+        fresh_mean = (
+            float(np.mean(fresh_latencies)) if fresh_latencies.size else math.nan
+        )
         return _WindowStats(
             latency=mean,
-            benign_delivered=len(benign),
-            malicious_delivered=malicious_count,
+            benign_delivered=int(latencies.size),
+            malicious_delivered=len(view) - int(latencies.size),
             fresh_latency=fresh_mean,
-            fresh_delivered=len(fresh_latencies),
-            backlog_delivered=len(benign) - len(fresh_latencies),
+            fresh_delivered=int(fresh_latencies.size),
+            backlog_delivered=int(latencies.size - fresh_latencies.size),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

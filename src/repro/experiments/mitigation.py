@@ -32,7 +32,6 @@ from repro.monitor.dataset import DatasetBuilder, DatasetConfig
 from repro.monitor.sampler import MonitorConfig
 from repro.nn.dtype import default_dtype
 from repro.noc.simulator import NoCSimulator
-from repro.noc.stats import LatencyStats
 from repro.runtime.engine import ExperimentEngine, fence_cache_payload
 from repro.traffic.flooding import FloodingAttacker, FloodingConfig
 from repro.traffic.scenario import AttackScenario, MultiAttackScenario
@@ -406,15 +405,15 @@ def unmitigated_attack_latency(
     simulator = _attacked_simulator(builder, benchmark, scenario, shape, seed)
     simulator.run(shape.total_cycles)
     period = builder.config.sample_period
-    span = [
-        packet
-        for packet in simulator.stats.delivered
-        if not packet.is_malicious
-        and shape.attack_start + period <= packet.ejected_cycle <= shape.attack_end
-    ]
-    if not span:
+    view = simulator.stats.delivered_view()
+    span = view.select(
+        ~view.malicious
+        & (view.ejected >= shape.attack_start + period)
+        & (view.ejected <= shape.attack_end)
+    )
+    if not len(span):
         return float("nan")
-    return LatencyStats.from_packets(span).packet_latency
+    return span.latency().packet_latency
 
 
 @dataclass(frozen=True)

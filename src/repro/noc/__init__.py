@@ -43,13 +43,14 @@ from repro.noc.backend import (
 )
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.noc.batch_sim import BatchedNoCSimulator, LaneSimulator
-from repro.noc.stats import LatencyStats, NetworkStats
+from repro.noc.stats import DeliveredView, LatencyStats, NetworkStats
 
 __all__ = [
     "BACKENDS",
     "BatchedNoCSimulator",
     "BatchedSoAMeshNetwork",
     "DEFAULT_BACKEND",
+    "DeliveredView",
     "Direction",
     "Flit",
     "FlitType",

@@ -87,13 +87,13 @@ class NoCSimulator:
             injection_bandwidth=self.config.injection_bandwidth,
             source_queue_capacity=self.config.source_queue_capacity,
         )
-        self.sources: list[TrafficSource] = []
-        self.cycle = 0
-        self._observers: list[tuple[int, Callable[["NoCSimulator"], None]]] = []
         # Array ingress: when both the source and the backend support batch
         # transfer, one vectorized hand-off per source replaces the
         # per-packet enqueue loop (same packets, same RNG stream).
         self._batch_ingress = hasattr(self.network, "enqueue_batch")
+        self.sources = ()
+        self.cycle = 0
+        self._observers: list[tuple[int, Callable[["NoCSimulator"], None]]] = []
         # Data-plane faults: scheduled (cycle, dead_links, dead_routers)
         # activations plus the accumulated fault set already applied.
         self._pending_data_faults: list[tuple[int, tuple, tuple]] = []
@@ -101,9 +101,34 @@ class NoCSimulator:
         self._dead_routers: set = set()
 
     # -- wiring ------------------------------------------------------------
+    @property
+    def sources(self) -> tuple[TrafficSource, ...]:
+        """Attached traffic sources, in per-cycle emission order.
+
+        Read-only: attach with :meth:`add_source` or assign a whole new
+        sequence, so the per-cycle emitters stay in step with the sources.
+        """
+        return tuple(self._sources)
+
+    @sources.setter
+    def sources(self, sources) -> None:
+        self._sources = list(sources)
+        self._emitters = [self._emitter(source) for source in self._sources]
+
+    def _emitter(self, source: TrafficSource):
+        """``(batch_fn, packets_fn)`` of one source, resolved once when it is
+        attached: array ingress when both the source and the backend
+        support it, else the per-packet path."""
+        if self._batch_ingress:
+            batch_fn = getattr(source, "packet_batch_for_cycle", None)
+            if batch_fn is not None:
+                return batch_fn, None
+        return None, source.packets_for_cycle
+
     def add_source(self, source: TrafficSource) -> None:
         """Attach a traffic source (benign workload or attacker)."""
-        self.sources.append(source)
+        self._sources.append(source)
+        self._emitters.append(self._emitter(source))
 
     def add_observer(self, period: int, callback: Callable[["NoCSimulator"], None]) -> None:
         """Call ``callback(self)`` every ``period`` cycles after warmup."""
@@ -222,13 +247,7 @@ class NoCSimulator:
         if self._pending_data_faults:
             self._activate_due_faults(cycle)
         network = self.network
-        batch_ingress = self._batch_ingress
-        for source in self.sources:
-            batch_fn = (
-                getattr(source, "packet_batch_for_cycle", None)
-                if batch_ingress
-                else None
-            )
+        for batch_fn, packets_fn in self._emitters:
             if batch_fn is not None:
                 batch = batch_fn(cycle)
                 if batch is not None:
@@ -237,7 +256,7 @@ class NoCSimulator:
                         sources, destinations, size_flits, cycle, malicious
                     )
                 continue
-            for packet in source.packets_for_cycle(cycle):
+            for packet in packets_fn(cycle):
                 network.enqueue_packet(packet)
         network.step(cycle)
         post_warmup = self.cycle - self.config.warmup_cycles
@@ -263,7 +282,7 @@ class NoCSimulator:
         inject, so waiting on it would always hit ``max_cycles``.
         """
         saved_sources = self.sources
-        self.sources = []
+        self.sources = ()
         extra = 0
         try:
             while (

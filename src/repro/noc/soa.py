@@ -12,11 +12,14 @@ is pinned behavior-fingerprint-identical to the object backend: the same
 seeds produce the same feature frames and the same
 ``DefenseReport.as_dict()``.
 
-Packet objects still exist — they are registered once at ``enqueue_packet``
-and surfaced again at head-injection and tail-ejection so the latency
-statistics (:class:`~repro.noc.stats.NetworkStats`) stay shared with the
-object backend — but no per-flit or per-router Python object is touched
-while the network advances.
+Packets are rows of a columnar :class:`PacketRegistry` (source, destination,
+size, creation/injection/ejection cycle, malicious flag, episode) plus a
+delivered log, written in place by the ingress, inject and switch kernels
+together with per-episode counters.  ``Packet`` objects are built only when
+someone reads ``stats.delivered``; latency consumers read the columnar
+:meth:`~repro.noc.stats.NetworkStats.delivered_view` instead, so no
+per-packet, per-flit or per-router Python object is touched while the
+network advances.
 
 The backend is selected through ``REPRO_SIM_BACKEND`` (``soa``, the
 default, or ``object``) or explicitly via
@@ -33,12 +36,33 @@ import numpy as np
 
 from repro.noc import soa_step
 from repro.noc.packet import Packet
-from repro.noc.soa_step import FIDX_MASK, KEY_PERIOD, PKT_SHIFT, TAIL_BIT
-from repro.noc.stats import NetworkStats
+from repro.noc.soa_kernel import (
+    CNT_CREATED,
+    CNT_DELIVERED,
+    CNT_DROPPED,
+    CNT_FLITS_DELIVERED,
+    CNT_INJECTED,
+    CNT_MAL_CREATED,
+    CNT_MAL_DELIVERED,
+    CNT_UNROUTABLE,
+    COL_CREATED,
+    COL_DEST,
+    COL_EJECTED,
+    COL_EPISODE,
+    COL_INJECTED,
+    COL_LOG,
+    COL_MALICIOUS,
+    NUM_COUNTS,
+    REG_COLUMNS,
+    COL_SIZE,
+    COL_SOURCE,
+)
+from repro.noc.soa_step import FIDX_MASK, KEY_PERIOD, PKT_SHIFT
+from repro.noc.stats import DeliveredView, NetworkStats
 from repro.noc.topology import Direction, MeshTopology
 from repro.obs.metrics import METRICS, sim_phase_histogram
 
-__all__ = ["SoAMeshNetwork", "DIRECTION_INDEX", "mesh_tables"]
+__all__ = ["SoAMeshNetwork", "PacketRegistry", "DIRECTION_INDEX", "mesh_tables"]
 
 #: Fixed direction→axis-index mapping of every per-port array: the LOCAL
 #: port first, then the paper's E, N, W, S cardinal order.
@@ -255,6 +279,8 @@ class SoAMeshNetwork:
     """A 2-D mesh with XY wormhole switching on flat NumPy state arrays."""
 
     backend_name = "soa"
+    #: Episode blocks in the state arrays (the batched subclass has more).
+    episodes = 1
 
     def __init__(
         self,
@@ -277,8 +303,6 @@ class SoAMeshNetwork:
         self.vc_depth = vc_depth
         self.injection_bandwidth = injection_bandwidth
         self.source_queue_capacity = source_queue_capacity
-        self.stats = NetworkStats()
-        self.dropped_packets = 0
         # Label-bound metric handles, created on first metered step().
         self._phase_series = None
         # Per-cycle kernel binding (see soa_step._bind), resolved on the
@@ -355,12 +379,14 @@ class SoAMeshNetwork:
         self._allowance = np.zeros(num_nodes, dtype=np.float64)
         self._limited_idx = np.empty(0, dtype=np.int64)
 
-        # Packet registry: the Python objects (for the shared NetworkStats)
-        # plus the per-packet fields the kernels need as arrays.
-        self._packets: list[Packet] = []
-        self._pkt_dest = _GrowableInt()
-        self._pkt_injected = _GrowableInt()
-        self._flit_templates: dict[int, np.ndarray] = {}
+        # Packet registry and per-episode counters, written by the kernels;
+        # each episode's NetworkStats reads its row of the counters.
+        self._registry = PacketRegistry(self.episodes, self.topology.num_nodes)
+        self._counts = np.zeros((self.episodes, NUM_COUNTS), dtype=np.int64)
+        self._lane_stats = [
+            _RegistryStats(self._registry, self._counts[lane], lane)
+            for lane in range(self.episodes)
+        ]
 
         # Data-plane fault state (dead links/routers).  Fault-free networks
         # keep every one of these untouched, so the hot path is unchanged:
@@ -372,7 +398,6 @@ class SoAMeshNetwork:
         self._routable_start = None  # (num_nodes, num_nodes) bool
         self._q_state_base = None
         self.killed_packets = 0
-        self.unroutable_packets = 0
 
     def _install_tables(self) -> None:
         """Bind the static lookup tables and the state-array node count.
@@ -420,9 +445,13 @@ class SoAMeshNetwork:
         """
         self._route_provider = provider
         self._route3 = np.ascontiguousarray(provider.route_table3.reshape(-1))
-        self._routable_start = provider.routable_from_start
+        self._routable_start = np.ascontiguousarray(
+            provider.routable_from_start, dtype=bool
+        )
         self._install_dynamic_tables()
         self._dynamic_routes = True
+        # The compiled binding holds the routing pointers: rebind next call.
+        self._kernel = None
         killed = self._excise_doomed(provider)
         self._purge_unroutable_queued(provider, self._doomed_pids)
         self.killed_packets += killed
@@ -462,7 +491,7 @@ class SoAMeshNetwork:
         port_dir = self._q_port[active] % 5
         state = self._tables.opposite[port_dir]
         pid = alloc[active].astype(np.int64)
-        dest_local = self._pkt_dest.values[pid] - episode * n
+        dest_local = self._registry.table[COL_DEST, pid] - episode * n
 
         doomed = np.zeros(active.size, dtype=bool)
         if provider.dead_routers:
@@ -486,6 +515,7 @@ class SoAMeshNetwork:
         if doomed_pids.size == 0:
             return 0
         self._doomed_pids = doomed_pids
+        self._registry.forget(doomed_pids)
         # Whole-VC clears are exact: a VC only ever holds flits of its single
         # allocated packet, so no ring surgery is needed.
         victims = active[np.isin(pid, doomed_pids)]
@@ -504,8 +534,8 @@ class SoAMeshNetwork:
         stay, mirroring ``flush_source_queue``)."""
         n = self.topology.num_nodes
         routable = self._routable_start
-        injected = self._pkt_injected.values
-        dest = self._pkt_dest.values
+        injected = self._registry.table[COL_INJECTED]
+        dest = self._registry.table[COL_DEST]
         for node in np.nonzero(self._sq_count > 0)[0].tolist():
             count = int(self._sq_count[node])
             slots = (
@@ -521,6 +551,7 @@ class SoAMeshNetwork:
             )
             if not drop.any():
                 continue
+            self._registry.forget(pkts[drop])
             keep = ~drop
             kept = int(keep.sum())
             unroutable = int(np.unique(pkts[drop & fresh]).size)
@@ -532,76 +563,53 @@ class SoAMeshNetwork:
                 self._sq_vals[node, :kept] = values[keep]
 
     def _credit_unroutable_drops(self, node: int, packets: int) -> None:
-        """Account dropped never-injected unroutable packets (lane-aware in
-        the batched subclass)."""
-        self.dropped_packets += packets
-        self.unroutable_packets += packets
+        """Account dropped never-injected unroutable packets on the episode
+        owning ``node``."""
+        lane = node // self.topology.num_nodes
+        self._counts[lane, CNT_DROPPED] += packets
+        self._counts[lane, CNT_UNROUTABLE] += packets
 
-    # -- kernel callbacks (rare per-packet events) ---------------------------
-    def _record_injected_ids(self, injected_ids: np.ndarray, cycle: int) -> None:
-        """Head flits of new packets entered the network this cycle."""
-        self._pkt_injected.values[injected_ids] = cycle
-        packets = self._packets
-        stats = self.stats
-        for pid in injected_ids.tolist():
-            packet = packets[pid]
-            packet.injected_cycle = cycle
-            stats.record_injected(packet)
+    # -- packet registry views ---------------------------------------------
+    @property
+    def stats(self) -> NetworkStats:
+        """Counters and delivered packets (the solo network's one episode)."""
+        return self._lane_stats[0]
 
-    def _record_ejections(
-        self, nodes: np.ndarray, tails: np.ndarray, pids: np.ndarray, cycle: int
-    ) -> None:
-        """Flits left the network at their LOCAL output this cycle."""
-        flits_ejected = self._flits_ejected
-        packets_ejected = self._packets_ejected
-        packets = self._packets
-        stats = self.stats
-        for node, tail, pid in zip(nodes.tolist(), tails.tolist(), pids.tolist()):
-            flits_ejected[node] += 1
-            if tail:
-                packets_ejected[node] += 1
-                packet = packets[pid]
-                packet.ejected_cycle = cycle
-                stats.record_delivered(packet)
+    @property
+    def dropped_packets(self) -> int:
+        """Packets dropped at ingress, by a flush or as unroutable."""
+        return int(self._counts[:, CNT_DROPPED].sum())
+
+    @property
+    def unroutable_packets(self) -> int:
+        """Never-injected packets dropped because no route could exist."""
+        return int(self._counts[:, CNT_UNROUTABLE].sum())
 
     # -- injection interface ------------------------------------------------
+    def _enqueue_object(self, lane: int, packet: Packet) -> bool:
+        """Queue a caller-built packet of episode ``lane``; the same object
+        is what ``stats.delivered`` returns once it is delivered."""
+        registry = self._registry
+        pid = registry.rows
+        accepted = soa_step.ingress(
+            self,
+            lane,
+            (packet.source,),
+            (packet.destination,),
+            packet.size_flits,
+            packet.created_cycle,
+            packet.is_malicious,
+        )
+        if not accepted:
+            return False
+        if packet.injected_cycle is not None:
+            registry.table[COL_INJECTED, pid] = packet.injected_cycle
+        registry.adopt(pid, packet)
+        return True
+
     def enqueue_packet(self, packet: Packet) -> bool:
         """Queue a packet's flits at its source node (drop when full)."""
-        node = packet.source
-        size = packet.size_flits
-        if self._routable_start is not None and not self._routable_start[
-            node, packet.destination
-        ]:
-            self._credit_unroutable_drops(node, 1)
-            return False
-        capacity = self.source_queue_capacity
-        count = int(self._sq_count[node])
-        if count + size > capacity:
-            self.dropped_packets += 1
-            return False
-        self.stats.record_created(packet)
-        pid = len(self._packets)
-        self._packets.append(packet)
-        self._pkt_dest.append(packet.destination)
-        self._pkt_injected.append(
-            -1 if packet.injected_cycle is None else packet.injected_cycle
-        )
-        template = self._flit_templates.get(size)
-        if template is None:
-            template = np.arange(size, dtype=np.int64)
-            template[-1] += TAIL_BIT
-            self._flit_templates[size] = template
-        values = (pid << PKT_SHIFT) + template
-        start = (int(self._sq_head[node]) + count) % capacity
-        end = start + size
-        if end <= capacity:
-            self._sq_vals[node, start:end] = values
-        else:
-            split = capacity - start
-            self._sq_vals[node, start:] = values[:split]
-            self._sq_vals[node, : end - capacity] = values[split:]
-        self._sq_count[node] = count + size
-        return True
+        return self._enqueue_object(0, packet)
 
     def enqueue_batch(
         self,
@@ -611,100 +619,18 @@ class SoAMeshNetwork:
         cycle: int,
         malicious: bool,
     ) -> int:
-        """Queue one packet per (source, destination) pair in one sweep.
+        """Queue one packet per (source, destination) pair in one kernel call.
 
-        The vectorized ingress of :meth:`NoCSimulator.step` for sources
-        exposing ``packet_batch_for_cycle``: capacity checks, stat counters
-        and source-queue ring writes happen as array operations, with one
-        Packet object per accepted packet (the latency statistics and the
-        defense report read those).  Semantically identical to calling
-        :meth:`enqueue_packet` per packet; sources are expected to emit at
-        most one packet per node per cycle (duplicates fall back).
+        The array ingress of :meth:`NoCSimulator.step` for sources exposing
+        ``packet_batch_for_cycle``: routability and capacity checks, drop
+        and stat counters, registry rows and source-queue ring writes all
+        happen in :func:`repro.noc.soa_step.ingress`, with no ``Packet``
+        object.  Semantically identical to calling :meth:`enqueue_packet`
+        per packet, duplicate sources included.
         """
-        sources = np.asarray(sources)
-        count = sources.size
-        if count == 0:
-            return 0
-        if self._routable_start is not None:
-            destinations = np.asarray(destinations)
-            routable = self._routable_start[sources, destinations]
-            if not routable.all():
-                drops = np.bincount(
-                    sources[~routable], minlength=self._array_nodes
-                )
-                for node in np.nonzero(drops)[0].tolist():
-                    self._credit_unroutable_drops(node, int(drops[node]))
-                sources = sources[routable]
-                destinations = destinations[routable]
-                count = sources.size
-                if count == 0:
-                    return 0
-        if count < 12 or np.unique(sources).size != count:
-            # Small batches (or duplicate sources): the per-packet path beats
-            # the fixed cost of the array sweep.
-            accepted = 0
-            for source, destination in zip(sources.tolist(), destinations.tolist()):
-                accepted += self.enqueue_packet(
-                    Packet(
-                        source=source,
-                        destination=destination,
-                        size_flits=size_flits,
-                        created_cycle=cycle,
-                        is_malicious=malicious,
-                    )
-                )
-            return accepted
-        capacity = self.source_queue_capacity
-        fits = self._sq_count[sources] + size_flits <= capacity
-        if not fits.all():
-            self.dropped_packets += int(count - fits.sum())
-            sources = sources[fits]
-            destinations = destinations[fits]
-            count = sources.size
-            if count == 0:
-                return 0
-        packets = [
-            Packet(
-                source=source,
-                destination=destination,
-                size_flits=size_flits,
-                created_cycle=cycle,
-                is_malicious=malicious,
-            )
-            for source, destination in zip(sources.tolist(), destinations.tolist())
-        ]
-        stats = self.stats
-        stats.packets_created += count
-        if malicious:
-            stats.malicious_packets_created += count
-        first_pid = len(self._packets)
-        self._packets.extend(packets)
-        self._pkt_dest.extend(destinations)
-        self._pkt_injected.extend_fill(-1, count)
-        template = self._flit_templates.get(size_flits)
-        if template is None:
-            template = np.arange(size_flits, dtype=np.int64)
-            template[-1] += TAIL_BIT
-            self._flit_templates[size_flits] = template
-        pids = np.arange(first_pid, first_pid + count, dtype=np.int64)
-        starts = (self._sq_head[sources] + self._sq_count[sources]) % capacity
-        if (starts + size_flits <= capacity).all():
-            positions = (sources * capacity + starts)[:, None] + np.arange(size_flits)
-            self._sq_flat[positions] = (pids[:, None] << PKT_SHIFT) + template[None, :]
-        else:
-            values = (pids[:, None] << PKT_SHIFT) + template[None, :]
-            for row, (node, start) in enumerate(
-                zip(sources.tolist(), starts.tolist())
-            ):
-                end = start + size_flits
-                if end <= capacity:
-                    self._sq_vals[node, start:end] = values[row]
-                else:
-                    split = capacity - start
-                    self._sq_vals[node, start:] = values[row, :split]
-                    self._sq_vals[node, : end - capacity] = values[row, split:]
-        self._sq_count[sources] += size_flits
-        return count
+        return soa_step.ingress(
+            self, 0, sources, destinations, size_flits, cycle, malicious
+        )
 
     # -- injection rate limiting (defense hook) -----------------------------
     def set_injection_limit(self, node_id: int, fraction: float) -> None:
@@ -735,19 +661,26 @@ class SoAMeshNetwork:
         no headless worm is stranded inside the routers; fully dropped
         packets count as drops.  Returns the number of flits discarded.
         """
-        count = int(self._sq_count[node_id])
+        return self._flush_node(node_id)
+
+    def _flush_node(self, node: int) -> int:
+        """:meth:`flush_source_queue` of array node ``node`` (any episode)."""
+        count = int(self._sq_count[node])
         if count == 0:
             return 0
-        slots = (self._sq_head[node_id] + np.arange(count)) % self.source_queue_capacity
-        values = self._sq_vals[node_id, slots]
+        slots = (self._sq_head[node] + np.arange(count)) % self.source_queue_capacity
+        values = self._sq_vals[node, slots]
         pkts = values >> PKT_SHIFT
-        keep = self._pkt_injected.values[pkts] >= 0
+        keep = self._registry.table[COL_INJECTED, pkts] >= 0
         kept = int(keep.sum())
-        self.dropped_packets += int(np.unique(pkts[~keep]).size)
-        self._sq_head[node_id] = 0
-        self._sq_count[node_id] = kept
+        dropped = np.unique(pkts[~keep])
+        self._registry.forget(dropped)
+        lane = node // self.topology.num_nodes
+        self._counts[lane, CNT_DROPPED] += int(dropped.size)
+        self._sq_head[node] = 0
+        self._sq_count[node] = kept
         if kept:
-            self._sq_vals[node_id, :kept] = values[keep]
+            self._sq_vals[node, :kept] = values[keep]
         return count - kept
 
     def reset_injection_limits(self) -> None:
@@ -795,6 +728,8 @@ class SoAMeshNetwork:
         else:
             np.divide(self._occupied, float(self.num_vcs), out=self._occ_tmp)
             self._occ_sum += self._occ_tmp
+        if self._registry.in_flight_callers:
+            self._registry.stamp_callers()
 
     # -- DL2Fence observables ------------------------------------------------
     def feature_frame(self, direction: Direction, kind) -> np.ndarray:
@@ -867,8 +802,13 @@ class SoAMeshNetwork:
         backlog can never inject (continuation flits of partially injected
         packets still count, mirroring the injection gate).
         """
+        return self._drainable(0, self._array_nodes)
+
+    def _drainable(self, first: int, stop: int) -> int:
+        """:attr:`drainable_queued_flits` over array nodes ``[first, stop)``."""
         total = 0
-        for node in np.nonzero(self._sq_count > 0)[0]:
+        injected = self._registry.table[COL_INJECTED]
+        for node in (first + np.nonzero(self._sq_count[first:stop] > 0)[0]).tolist():
             count = int(self._sq_count[node])
             if self._limits[node] > 0.0:
                 total += count
@@ -877,7 +817,7 @@ class SoAMeshNetwork:
                 self._sq_head[node] + np.arange(count)
             ) % self.source_queue_capacity
             pkts = self._sq_vals[node, slots] >> PKT_SHIFT
-            total += int((self._pkt_injected.values[pkts] >= 0).sum())
+            total += int((injected[pkts] >= 0).sum())
         return total
 
     def _occ_samples_for_port(self, flat_port: int) -> int:
@@ -911,45 +851,263 @@ class SoAMeshNetwork:
         )
 
 
+#: Rows allocated up front per packet-registry column.
+REGISTRY_CAPACITY = 4096
+
+
+class PacketRegistry:
+    """Columnar per-packet state shared with the compiled kernels.
+
+    One ``(REG_COLUMNS, capacity)`` int64 table: a column per packet field
+    (see the column indices in :mod:`repro.noc.soa_kernel`; ``COL_DEST`` holds
+    the array-global destination the switch routes on, ``COL_SOURCE`` the
+    episode-local source) plus the ``COL_LOG`` column of delivered packet ids.
+    ``lengths`` holds the row count and the delivered-log length; the
+    kernels append to both in place.  Every packet is delivered at most
+    once, so the log never outgrows the table.
+
+    Growth reallocates the whole table and bumps :attr:`generation`, the one
+    number a kernel binding compares to know its pointers are current.
+
+    ``callers`` keeps caller-built ``Packet`` objects by row until they are
+    handed out in ``stats.delivered``.  While such packets are in flight,
+    :meth:`stamp_callers` copies their injection and ejection cycles onto
+    the objects after every cycle, as the object backend would set them.
+
+    :meth:`delivered_view` and :meth:`materialize_delivered` read one
+    episode's deliveries for its ``NetworkStats``; ``nodes`` is the
+    per-episode node count that turns ``COL_DEST`` back into a local id.
+    """
+
+    def __init__(self, episodes: int, nodes: int) -> None:
+        self.table = np.empty((REG_COLUMNS, REGISTRY_CAPACITY), dtype=np.int64)
+        self.lengths = np.zeros(2, dtype=np.int64)
+        self.generation = 0
+        self.nodes = nodes
+        # Per-episode delivered pid logs, split off the shared log on demand
+        # (a single episode reads the shared log directly).
+        self._lane_logs = [_GrowableInt() for _ in range(episodes)]
+        self._log_split = 0
+        self.callers: dict[int, Packet] = {}
+        # Rows of caller-built packets not yet injected / not yet delivered.
+        self._adopted: list[int] = []
+        self._uninjected = np.empty(0, dtype=np.int64)
+        self._undelivered = np.empty(0, dtype=np.int64)
+        self.in_flight_callers = False
+
+    @property
+    def capacity(self) -> int:
+        return self.table.shape[1]
+
+    @property
+    def rows(self) -> int:
+        return int(self.lengths[0])
+
+    @property
+    def delivered(self) -> int:
+        return int(self.lengths[1])
+
+    def reserve(self, extra: int) -> None:
+        """Make room for ``extra`` more rows (doubling; bumps the generation)."""
+        rows = self.rows
+        if rows + extra <= self.capacity:
+            return
+        grown = np.empty(
+            (REG_COLUMNS, max(rows + extra, 2 * self.capacity)), dtype=np.int64
+        )
+        grown[:, :rows] = self.table[:, :rows]
+        self.table = grown
+        self.generation += 1
+
+    def adopt(self, pid: int, packet: Packet) -> None:
+        """Track caller-built ``packet`` queued as row ``pid``."""
+        self.callers[pid] = packet
+        self._adopted.append(pid)
+        self.in_flight_callers = True
+
+    def stamp_callers(self) -> None:
+        """Copy new injection/ejection cycles onto in-flight caller packets."""
+        if self._adopted:
+            self._uninjected = np.append(self._uninjected, self._adopted)
+            self._adopted.clear()
+        entered = self._stamp(self._uninjected, COL_INJECTED, "injected_cycle")
+        self._undelivered = np.append(self._undelivered, self._uninjected[entered])
+        self._uninjected = self._uninjected[~entered]
+        left = self._stamp(self._undelivered, COL_EJECTED, "ejected_cycle")
+        self._undelivered = self._undelivered[~left]
+        self.in_flight_callers = bool(self._uninjected.size or self._undelivered.size)
+
+    def forget(self, pids: np.ndarray) -> None:
+        """Stop tracking rows ``pids``, packets a flush or a data fault
+        removed: they are never injected or delivered afterwards."""
+        if not self.callers:
+            return
+        for pid in pids.tolist():
+            self.callers.pop(pid, None)
+        self._adopted = [pid for pid in self._adopted if pid in self.callers]
+        self._uninjected = np.setdiff1d(self._uninjected, pids)
+        self._undelivered = np.setdiff1d(self._undelivered, pids)
+        self.in_flight_callers = bool(
+            self._adopted or self._uninjected.size or self._undelivered.size
+        )
+
+    def _stamp(self, pids: np.ndarray, column: int, field: str) -> np.ndarray:
+        """Set ``field`` on the caller packets of ``pids`` whose ``column``
+        cycle is known; returns that mask."""
+        cycles = self.table[column, pids]
+        known = cycles >= 0
+        for pid, cycle in zip(pids[known].tolist(), cycles[known].tolist()):
+            setattr(self.callers[pid], field, cycle)
+        return known
+
+    def lane_pids(self, lane: int) -> np.ndarray:
+        """Packet ids delivered by episode ``lane``, in delivery order."""
+        log = self.table[COL_LOG, : self.delivered]
+        if len(self._lane_logs) == 1:
+            return log
+        if self._log_split < log.size:
+            new = log[self._log_split :]
+            owners = self.table[COL_EPISODE, new]
+            for owner in np.unique(owners).tolist():
+                self._lane_logs[owner].extend(new[owners == owner])
+            self._log_split = log.size
+        return self._lane_logs[lane].values
+
+    def delivered_view(self, lane: int, start: int) -> DeliveredView:
+        """Columns of episode ``lane``'s deliveries from the ``start``-th on."""
+        pids = self.lane_pids(lane)[start:]
+        table = self.table
+        return DeliveredView(
+            created=table[COL_CREATED, pids],
+            injected=table[COL_INJECTED, pids],
+            ejected=table[COL_EJECTED, pids],
+            size=table[COL_SIZE, pids],
+            malicious=table[COL_MALICIOUS, pids].astype(bool),
+        )
+
+    def materialize_delivered(self, lane: int, delivered: list[Packet]) -> None:
+        """Extend ``delivered`` with ``Packet`` objects of the lane's
+        deliveries it does not hold yet (caller-built packets are reused)."""
+        pids = self.lane_pids(lane)[len(delivered) :]
+        if pids.size == 0:
+            return
+        table = self.table
+        source, dest, size, created, injected, ejected, malicious, episode = (
+            table[column, pids].tolist()
+            for column in (
+                COL_SOURCE, COL_DEST, COL_SIZE, COL_CREATED,
+                COL_INJECTED, COL_EJECTED, COL_MALICIOUS, COL_EPISODE,
+            )
+        )  # fmt: skip
+        nodes = self.nodes
+        callers = self.callers
+        for row, pid in enumerate(pids.tolist()):
+            packet = callers.pop(pid, None)
+            if packet is None:
+                packet = Packet(
+                    source=source[row],
+                    destination=dest[row] - episode[row] * nodes,
+                    size_flits=size[row],
+                    created_cycle=created[row],
+                    is_malicious=bool(malicious[row]),
+                )
+            packet.injected_cycle = injected[row]
+            packet.ejected_cycle = ejected[row]
+            delivered.append(packet)
+
+    def append(self, source, dest, size, created, malicious, episode) -> int:
+        """Append rows (arrays or scalars broadcast over ``source``); returns
+        the first new packet id."""
+        count = len(source)
+        self.reserve(count)
+        first = self.rows
+        block = self.table[:, first : first + count]
+        block[COL_SOURCE] = source
+        block[COL_DEST] = dest
+        block[COL_SIZE] = size
+        block[COL_CREATED] = created
+        block[COL_INJECTED] = -1
+        block[COL_EJECTED] = -1
+        block[COL_MALICIOUS] = 1 if malicious else 0
+        block[COL_EPISODE] = episode
+        self.lengths[0] = first + count
+        return first
+
+
+class _CountField:
+    """A :class:`NetworkStats` counter stored in the network's count table."""
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    def __get__(self, stats, owner=None):
+        if stats is None:
+            return self
+        return int(stats._counts[self.index])
+
+    def __set__(self, stats, value: int) -> None:
+        stats._counts[self.index] = value
+
+
+class _RegistryStats(NetworkStats):
+    """One episode's :class:`NetworkStats`, read off the packet registry.
+
+    The counters are the episode's row of the kernel-maintained count table;
+    ``delivered`` materialises ``Packet`` objects from the delivered log on
+    read, in delivery order, and :meth:`delivered_view` /
+    :meth:`latency` read the registry columns without building any.
+    """
+
+    packets_created = _CountField(CNT_CREATED)
+    packets_injected = _CountField(CNT_INJECTED)
+    packets_delivered = _CountField(CNT_DELIVERED)
+    flits_delivered = _CountField(CNT_FLITS_DELIVERED)
+    malicious_packets_created = _CountField(CNT_MAL_CREATED)
+    malicious_packets_delivered = _CountField(CNT_MAL_DELIVERED)
+
+    def __init__(self, registry: PacketRegistry, counts: np.ndarray, lane: int) -> None:
+        # The registry, not the network: a back-reference from the network's
+        # own stats would leave every network in a reference cycle that only
+        # the cyclic garbage collector frees.
+        self._registry = registry
+        self._counts = counts
+        self._lane = lane
+        super().__init__()
+
+    @property
+    def delivered(self) -> list[Packet]:  # type: ignore[override]
+        self._registry.materialize_delivered(self._lane, self._delivered)
+        return self._delivered
+
+    @delivered.setter
+    def delivered(self, value: list[Packet]) -> None:
+        # Intercepts the dataclass constructor's field assignment.
+        self._delivered = value
+
+    def delivered_view(self, start: int = 0) -> DeliveredView:
+        return self._registry.delivered_view(self._lane, start)
+
+
 class _GrowableInt:
-    """Amortised-append int64 array (packet registry columns)."""
+    """Amortised-append int64 array (per-episode delivered logs)."""
 
     def __init__(self, capacity: int = 1024) -> None:
         self._data = np.empty(capacity, dtype=np.int64)
         self._size = 0
 
-    def _grow_to(self, needed: int) -> None:
-        capacity = self._data.size
-        while capacity < needed:
-            capacity *= 2
-        if capacity != self._data.size:
-            grown = np.empty(capacity, dtype=np.int64)
-            grown[: self._size] = self._data[: self._size]
-            self._data = grown
-
-    def append(self, value: int) -> None:
-        if self._size == self._data.size:
-            self._grow_to(self._size + 1)
-        self._data[self._size] = value
-        self._size += 1
-
     def extend(self, values: np.ndarray) -> None:
         count = len(values)
-        self._grow_to(self._size + count)
-        self._data[self._size : self._size + count] = values
-        self._size += count
-
-    def extend_fill(self, value: int, count: int) -> None:
-        self._grow_to(self._size + count)
-        self._data[self._size : self._size + count] = value
-        self._size += count
+        needed = self._size + count
+        if needed > self._data.size:
+            grown = np.empty(max(needed, 2 * self._data.size), dtype=np.int64)
+            grown[: self._size] = self._data[: self._size]
+            self._data = grown
+        self._data[self._size : needed] = values
+        self._size = needed
 
     @property
     def values(self) -> np.ndarray:
         return self._data[: self._size]
-
-    def __len__(self) -> int:
-        return self._size
 
 
 class _SourceQueuesView:

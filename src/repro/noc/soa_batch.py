@@ -24,7 +24,8 @@ Per-episode observability comes from :class:`SoAMeshLane` views: episode
 ``i``'s lane exposes the full ``MeshNetwork``-facing surface (enqueue,
 stats, feature frames, injection limits, flush) reading and writing the
 ``i``-th block of the shared arrays, with its own
-:class:`~repro.noc.stats.NetworkStats` and packet registry slice — so
+:class:`~repro.noc.stats.NetworkStats` over the shared packet registry
+(rows tagged with their episode) — so
 ``batched(N=1)`` is fingerprint-identical to the solo SoA path, and row
 ``i`` of ``batched(N=k)`` is fingerprint-identical to a solo run of episode
 ``i`` (pinned by ``tests/noc/test_batched_equivalence.py``).
@@ -43,12 +44,10 @@ from repro.noc.soa import (
     MeshTables,
     SoAMeshNetwork,
     SoARouterView,
-    _GrowableInt,
     _vc_tables,
-    _xy_table_limit,
     mesh_tables,
 )
-from repro.noc.soa_step import PKT_SHIFT, TAIL_BIT
+from repro.noc.soa_kernel import CNT_DROPPED, CNT_UNROUTABLE
 from repro.noc.stats import NetworkStats
 from repro.noc.topology import Direction, MeshTopology
 
@@ -154,32 +153,6 @@ def batched_tables(
     return built
 
 
-class _LaneStats(NetworkStats):
-    """Per-lane counters whose ``delivered`` list materialises lazily.
-
-    All counters are maintained live by the batched kernels; only the
-    ``Packet`` objects behind ``delivered`` are deferred.  The property
-    flushes the pending delivered log on first read, so latency consumers
-    (the guard's recovery windows, Figure 1 curves) see the complete list,
-    while counter-only consumers — dataset generation, the robustness
-    sweeps — never pay for per-packet object construction.
-    """
-
-    def __init__(self, net: "BatchedSoAMeshNetwork") -> None:
-        super().__init__()
-        self._net = net
-
-    @property
-    def delivered(self) -> list[Packet]:  # type: ignore[override]
-        self._net._materialize_delivered()
-        return self._delivered
-
-    @delivered.setter
-    def delivered(self, value: list[Packet]) -> None:
-        # Intercepts the dataclass constructor's field assignment.
-        self._delivered = value
-
-
 def _no_direct_surface(name: str):
     def method(self, *args, **kwargs):
         raise TypeError(
@@ -219,24 +192,7 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
             injection_bandwidth=injection_bandwidth,
             source_queue_capacity=source_queue_capacity,
         )
-        self._lane_stats = [_LaneStats(self) for _ in range(self.episodes)]
-        self._lane_dropped = [0] * self.episodes
         self._lane_occ_samples = np.zeros(self.episodes, dtype=np.int64)
-        self._pkt_episode = _GrowableInt()
-        # Columnar packet registry: ``Packet`` objects are not built on the
-        # hot path at all.  ``enqueue_group`` appends one row per packet
-        # (episode-local source, size, creation cycle, malicious flag) and a
-        # ``None`` placeholder in ``_packets``; delivered packets are logged
-        # as (pid, ejection cycle) pairs and materialised into per-lane
-        # ``stats.delivered`` lists — in recorded order — the first time a
-        # lane's stats are read (:meth:`_materialize_delivered`).
-        self._pkt_source = _GrowableInt()
-        self._pkt_size = _GrowableInt()
-        self._pkt_created = _GrowableInt()
-        self._pkt_malicious = _GrowableInt()
-        self._dlog_pid = _GrowableInt()
-        self._dlog_cycle = _GrowableInt()
-        self._dlog_done = 0
         self._lanes = [SoAMeshLane(self, index) for index in range(self.episodes)]
 
     def _install_tables(self) -> None:
@@ -273,91 +229,6 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
         for stats in self._lane_stats:
             stats.cycles = next_cycle
 
-    # -- kernel callbacks (route per-packet events to their episode) ---------
-    def _record_injected_ids(self, injected_ids: np.ndarray, cycle: int) -> None:
-        # No object is touched: the injection cycle lives in the registry
-        # column and lands on the Packet at delivery materialisation.
-        self._pkt_injected.values[injected_ids] = cycle
-        counts = np.bincount(
-            self._pkt_episode.values[injected_ids], minlength=self.episodes
-        )
-        for lane in np.nonzero(counts)[0].tolist():
-            self._lane_stats[lane].packets_injected += int(counts[lane])
-
-    def _record_ejections(
-        self, nodes: np.ndarray, tails: np.ndarray, pids: np.ndarray, cycle: int
-    ) -> None:
-        # A router ejects at most one flit per cycle, so ``nodes`` holds no
-        # duplicates and plain fancy-indexed increments are exact.
-        self._flits_ejected[nodes] += 1
-        tail_idx = np.nonzero(tails)[0]
-        if tail_idx.size == 0:
-            return
-        tail_pids = pids[tail_idx]
-        self._packets_ejected[nodes[tail_idx]] += 1
-        episodes = self._pkt_episode.values[tail_pids]
-        delivered = np.bincount(episodes, minlength=self.episodes)
-        flits = np.bincount(
-            episodes, weights=self._pkt_size.values[tail_pids], minlength=self.episodes
-        )
-        malicious = np.bincount(
-            episodes,
-            weights=self._pkt_malicious.values[tail_pids],
-            minlength=self.episodes,
-        )
-        for lane in np.nonzero(delivered)[0].tolist():
-            stats = self._lane_stats[lane]
-            stats.packets_delivered += int(delivered[lane])
-            stats.flits_delivered += int(flits[lane])
-            stats.malicious_packets_delivered += int(malicious[lane])
-        self._dlog_pid.extend(tail_pids)
-        self._dlog_cycle.extend_fill(cycle, tail_pids.size)
-
-    def _materialize_delivered(self) -> None:
-        """Flush the delivered log into per-lane ``stats.delivered`` lists.
-
-        Counters are maintained live by :meth:`_record_ejections`; only the
-        per-packet ``Packet`` objects are deferred.  Appending in log order
-        preserves each lane's delivery order (the fingerprint the
-        equivalence tests pin), and consumers that never read delivered
-        packets — training-set generation reads feature frames only — never
-        pay for their materialisation.
-        """
-        done = self._dlog_done
-        total = len(self._dlog_pid)
-        if done == total:
-            return
-        self._dlog_done = total
-        pids = self._dlog_pid.values[done:total]
-        episodes = self._pkt_episode.values[pids]
-        nodes = self.topology.num_nodes
-        dest_local = (self._pkt_dest.values[pids] - episodes * nodes).tolist()
-        sources = self._pkt_source.values[pids].tolist()
-        sizes = self._pkt_size.values[pids].tolist()
-        created = self._pkt_created.values[pids].tolist()
-        malicious = self._pkt_malicious.values[pids].tolist()
-        injected = self._pkt_injected.values[pids].tolist()
-        ejected = self._dlog_cycle.values[done:total].tolist()
-        lanes = episodes.tolist()
-        packets = self._packets
-        # The raw per-lane lists: going through the _LaneStats.delivered
-        # property here would re-enter this method once per append.
-        lane_delivered = [stats._delivered for stats in self._lane_stats]
-        for row, pid in enumerate(pids.tolist()):
-            packet = packets[pid]
-            if packet is None:
-                packet = Packet(
-                    source=sources[row],
-                    destination=dest_local[row],
-                    size_flits=sizes[row],
-                    created_cycle=created[row],
-                    is_malicious=bool(malicious[row]),
-                )
-                packets[pid] = packet
-            packet.injected_cycle = injected[row]
-            packet.ejected_cycle = ejected[row]
-            lane_delivered[lanes[row]].append(packet)
-
     # -- grouped cross-episode ingress ---------------------------------------
     def enqueue_group(
         self,
@@ -373,117 +244,21 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
         ``sources`` / ``destinations`` are episode-local node ids aligned
         with ``lane_ids``.  Semantically identical to calling each lane's
         :meth:`SoAMeshLane.enqueue_batch` separately (per-lane capacity
-        checks, drop counters and stats), but the ring writes of every
-        episode happen as one array sweep — the batched emission path of
+        checks, drop counters and stats), but every episode's packets go
+        through one ingress kernel call — the batched emission path of
         :class:`repro.noc.batch_sim.BatchedNoCSimulator`.
         """
-        lane_ids = np.asarray(lane_ids, dtype=np.int64)
-        sources = np.asarray(sources, dtype=np.int64)
-        destinations = np.asarray(destinations, dtype=np.int64)
-        count = sources.size
-        if count == 0:
-            return 0
-        if self._routable_start is not None:
-            routable = self._routable_start[sources, destinations]
-            if not routable.all():
-                drops = np.bincount(lane_ids[~routable], minlength=self.episodes)
-                for lane in np.nonzero(drops)[0].tolist():
-                    self._lane_dropped[lane] += int(drops[lane])
-                self.unroutable_packets += int(count - routable.sum())
-                lane_ids = lane_ids[routable]
-                sources = sources[routable]
-                destinations = destinations[routable]
-                count = sources.size
-                if count == 0:
-                    return 0
-        nodes = self.topology.num_nodes
-        gsources = sources + lane_ids * nodes
-        if count < 12 or np.unique(gsources).size != count:
-            accepted = 0
-            for lane, source, destination in zip(
-                lane_ids.tolist(), sources.tolist(), destinations.tolist()
-            ):
-                accepted += self._lanes[lane].enqueue_packet(
-                    Packet(
-                        source=source,
-                        destination=destination,
-                        size_flits=size_flits,
-                        created_cycle=cycle,
-                        is_malicious=malicious,
-                    )
-                )
-            return accepted
-        capacity = self.source_queue_capacity
-        fits = self._sq_count[gsources] + size_flits <= capacity
-        if not fits.all():
-            drops = np.bincount(lane_ids[~fits], minlength=self.episodes)
-            for lane in np.nonzero(drops)[0].tolist():
-                self._lane_dropped[lane] += int(drops[lane])
-            lane_ids = lane_ids[fits]
-            sources = sources[fits]
-            destinations = destinations[fits]
-            gsources = gsources[fits]
-            count = sources.size
-            if count == 0:
-                return 0
-        created = np.bincount(lane_ids, minlength=self.episodes)
-        for lane in np.nonzero(created)[0].tolist():
-            stats = self._lane_stats[lane]
-            stats.packets_created += int(created[lane])
-            if malicious:
-                stats.malicious_packets_created += int(created[lane])
-        first_pid = len(self._packets)
-        # Registry columns only — the Packet objects of the delivered subset
-        # are materialised lazily (see _materialize_delivered).
-        self._packets.extend([None] * count)
-        self._pkt_source.extend(sources)
-        self._pkt_dest.extend(destinations + lane_ids * nodes)
-        self._pkt_episode.extend(lane_ids)
-        self._pkt_injected.extend_fill(-1, count)
-        self._pkt_size.extend_fill(size_flits, count)
-        self._pkt_created.extend_fill(cycle, count)
-        self._pkt_malicious.extend_fill(1 if malicious else 0, count)
-        template = self._flit_templates.get(size_flits)
-        if template is None:
-            template = np.arange(size_flits, dtype=np.int64)
-            template[-1] += TAIL_BIT
-            self._flit_templates[size_flits] = template
-        pids = np.arange(first_pid, first_pid + count, dtype=np.int64)
-        starts = (self._sq_head[gsources] + self._sq_count[gsources]) % capacity
-        if (starts + size_flits <= capacity).all():
-            positions = (gsources * capacity + starts)[:, None] + np.arange(size_flits)
-            self._sq_flat[positions] = (pids[:, None] << PKT_SHIFT) + template[None, :]
-        else:
-            values = (pids[:, None] << PKT_SHIFT) + template[None, :]
-            for row, (node, start) in enumerate(
-                zip(gsources.tolist(), starts.tolist())
-            ):
-                end = start + size_flits
-                if end <= capacity:
-                    self._sq_vals[node, start:end] = values[row]
-                else:
-                    split = capacity - start
-                    self._sq_vals[node, start:] = values[row, :split]
-                    self._sq_vals[node, : end - capacity] = values[row, split:]
-        self._sq_count[gsources] += size_flits
-        return count
-
-    def _credit_unroutable_drops(self, node: int, packets: int) -> None:
-        """Unroutable drops land on the owning episode's lane counter."""
-        self._lane_dropped[node // self.topology.num_nodes] += packets
-        self.unroutable_packets += packets
+        return soa_step.ingress(
+            self, -1, sources, destinations, size_flits, cycle, malicious, lane_ids
+        )
 
     # -- global bookkeeping ---------------------------------------------------
     @property
-    def dropped_packets(self) -> int:  # type: ignore[override]
-        """Drops across every episode (per-episode counts live on the lanes)."""
-        return sum(self._lane_dropped)
-
-    @dropped_packets.setter
-    def dropped_packets(self, value: int) -> None:
-        # Assigned 0 by the base constructor before the lane lists exist.
-        if value != 0:
-            raise TypeError("per-episode drops are tracked on the lanes")
+    def stats(self) -> NetworkStats:  # type: ignore[override]
+        raise TypeError(
+            "BatchedSoAMeshNetwork.stats is per-episode state; "
+            "use network.lane(i).stats instead"
+        )
 
     def _occ_samples_for_port(self, flat_port: int) -> int:
         return int(self._lane_occ_samples[flat_port // (self.topology.num_nodes * 5)])
@@ -543,13 +318,17 @@ class SoAMeshLane:
 
     @property
     def stats(self) -> NetworkStats:
-        # Counters are live; the delivered Packet list flushes itself on
-        # first read (see _LaneStats), so counter reads stay O(1).
+        # Counters are live; the delivered Packet list is built on first
+        # read (see repro.noc.soa._RegistryStats), so counter reads stay O(1).
         return self._net._lane_stats[self.lane_index]
 
     @property
     def dropped_packets(self) -> int:
-        return self._net._lane_dropped[self.lane_index]
+        return int(self._net._counts[self.lane_index, CNT_DROPPED])
+
+    @property
+    def unroutable_packets(self) -> int:
+        return int(self._net._counts[self.lane_index, CNT_UNROUTABLE])
 
     @property
     def route_provider(self):
@@ -559,47 +338,7 @@ class SoAMeshLane:
     # -- injection interface --------------------------------------------------
     def enqueue_packet(self, packet: Packet) -> bool:
         """Queue a packet's flits at its (episode-local) source node."""
-        net = self._net
-        node = self._off + packet.source
-        if net._routable_start is not None and not net._routable_start[
-            packet.source, packet.destination
-        ]:
-            net._credit_unroutable_drops(node, 1)
-            return False
-        size = packet.size_flits
-        capacity = net.source_queue_capacity
-        count = int(net._sq_count[node])
-        if count + size > capacity:
-            net._lane_dropped[self.lane_index] += 1
-            return False
-        net._lane_stats[self.lane_index].record_created(packet)
-        pid = len(net._packets)
-        net._packets.append(packet)
-        net._pkt_dest.append(self._off + packet.destination)
-        net._pkt_episode.append(self.lane_index)
-        net._pkt_injected.append(
-            -1 if packet.injected_cycle is None else packet.injected_cycle
-        )
-        net._pkt_source.append(packet.source)
-        net._pkt_size.append(size)
-        net._pkt_created.append(packet.created_cycle)
-        net._pkt_malicious.append(1 if packet.is_malicious else 0)
-        template = net._flit_templates.get(size)
-        if template is None:
-            template = np.arange(size, dtype=np.int64)
-            template[-1] += TAIL_BIT
-            net._flit_templates[size] = template
-        values = (pid << PKT_SHIFT) + template
-        start = (int(net._sq_head[node]) + count) % capacity
-        end = start + size
-        if end <= capacity:
-            net._sq_vals[node, start:end] = values
-        else:
-            split = capacity - start
-            net._sq_vals[node, start:] = values[:split]
-            net._sq_vals[node, : end - capacity] = values[split:]
-        net._sq_count[node] = count + size
-        return True
+        return self._net._enqueue_object(self.lane_index, packet)
 
     def enqueue_batch(
         self,
@@ -609,11 +348,15 @@ class SoAMeshLane:
         cycle: int,
         malicious: bool,
     ) -> int:
-        """Queue one packet per (source, destination) pair in one sweep."""
-        sources = np.asarray(sources, dtype=np.int64)
-        lane_ids = np.full(sources.size, self.lane_index, dtype=np.int64)
-        return self._net.enqueue_group(
-            lane_ids, sources, destinations, size_flits, cycle, malicious
+        """Queue one packet per (source, destination) pair in one kernel call."""
+        return soa_step.ingress(
+            self._net,
+            self.lane_index,
+            sources,
+            destinations,
+            size_flits,
+            cycle,
+            malicious,
         )
 
     # -- injection rate limiting (defense hooks) ------------------------------
@@ -648,22 +391,7 @@ class SoAMeshLane:
 
     def flush_source_queue(self, node_id: int) -> int:
         """Discard not-yet-injected flits queued at the episode's ``node_id``."""
-        net = self._net
-        node = self._off + node_id
-        count = int(net._sq_count[node])
-        if count == 0:
-            return 0
-        slots = (net._sq_head[node] + np.arange(count)) % net.source_queue_capacity
-        values = net._sq_vals[node, slots]
-        pkts = values >> PKT_SHIFT
-        keep = net._pkt_injected.values[pkts] >= 0
-        kept = int(keep.sum())
-        net._lane_dropped[self.lane_index] += int(np.unique(pkts[~keep]).size)
-        net._sq_head[node] = 0
-        net._sq_count[node] = kept
-        if kept:
-            net._sq_vals[node, :kept] = values[keep]
-        return count - kept
+        return self._net._flush_node(self._off + node_id)
 
     # -- DL2Fence observables -------------------------------------------------
     def feature_frame(self, direction: Direction, kind) -> np.ndarray:
@@ -736,21 +464,7 @@ class SoAMeshLane:
 
     @property
     def drainable_queued_flits(self) -> int:
-        net = self._net
-        total = 0
-        block = net._sq_count[self._off : self._off + self._nodes]
-        for local in np.nonzero(block > 0)[0]:
-            node = self._off + int(local)
-            count = int(net._sq_count[node])
-            if net._limits[node] > 0.0:
-                total += count
-                continue
-            slots = (
-                net._sq_head[node] + np.arange(count)
-            ) % net.source_queue_capacity
-            pkts = net._sq_vals[node, slots] >> PKT_SHIFT
-            total += int((net._pkt_injected.values[pkts] >= 0).sum())
-        return total
+        return self._net._drainable(self._off, self._off + self._nodes)
 
     # -- object-backend compatibility views -----------------------------------
     @property

@@ -9,6 +9,12 @@
  * the two kernels are fingerprint-identical and the NumPy one serves as the
  * equivalence oracle.
  *
+ * Packets live in a columnar registry (one int64 column per field, see the
+ * COL_* indices) that the kernels write in place: ingress appends rows and
+ * source-queue flits, inject stamps the injection cycle, switch stamps the
+ * ejection cycle and appends to the delivered log.  Per-episode counters
+ * (CNT_*) are kept alongside, so no per-packet Python runs on the cycle path.
+ *
  * Routing is never derived here: the output slot comes from the same
  * precomputed tables the NumPy kernel gathers from (the fused XY
  * route_slot table, or the fault-aware route3 table plus the bound
@@ -28,16 +34,32 @@
 #define KEY_PERIOD 60
 #define BIG_KEY (INT32_C(1) << 30)
 
+/* Packet registry columns (rows of one (REG_COLUMNS, reg_capacity) int64
+ * table); LOG is the delivered log, one packet id per tail ejection. */
+enum {
+    COL_SOURCE, COL_DEST, COL_SIZE, COL_CREATED, COL_INJECTED, COL_EJECTED,
+    COL_MALICIOUS, COL_EPISODE, COL_LOG, REG_COLUMNS
+};
+/* Per-episode counters (rows of one (episodes, NUM_COUNTS) int64 table). */
+enum {
+    CNT_CREATED, CNT_INJECTED, CNT_DELIVERED, CNT_FLITS_DELIVERED,
+    CNT_MAL_CREATED, CNT_MAL_DELIVERED, CNT_DROPPED, CNT_UNROUTABLE, NUM_COUNTS
+};
+
 /* Every field is 8 bytes wide so the ctypes mirror in soa_step.py has no
  * padding to get wrong; soa_state_size() lets the loader check the layout. */
 typedef struct {
     int64_t num_nodes;  /* array nodes: every episode block of a batch */
+    int64_t episode_nodes; /* nodes per episode block */
+    int64_t episodes;
     int64_t episode_q;  /* VC slots per episode block */
     int64_t num_vcs;
     int64_t depth;
     int64_t capacity;   /* source-queue ring length */
     int64_t bandwidth;  /* injection passes per cycle */
     int64_t dynamic;    /* 1 when the fault-aware route3 table is active */
+    int64_t reg_capacity; /* rows allocated per registry column */
+    int64_t in_capacity;  /* entries of the ingress input buffers */
     /* virtual channels and ports */
     int64_t *vc_slots;
     int16_t *vc_head;
@@ -55,9 +77,13 @@ typedef struct {
     int64_t *sq_count;
     double *limits;
     double *allowance;
-    /* packet registry columns */
-    int64_t *pkt_dest;
-    int64_t *pkt_injected;
+    /* packet registry, its fill levels and the per-episode counters */
+    int64_t *reg;       /* (REG_COLUMNS, reg_capacity) */
+    int64_t *reg_len;   /* [registry rows, delivered log entries] */
+    int64_t *counts;    /* (episodes, NUM_COUNTS) */
+    int64_t *flits_ejected;   /* per node */
+    int64_t *packets_ejected; /* per node */
+    const uint8_t *routable;  /* (episode_nodes, episode_nodes), NULL when healthy */
     /* lookup tables */
     const int32_t *key_table;  /* (KEY_PERIOD, num_vc_slots), rows repeat per episode */
     const int64_t *down_port;
@@ -71,10 +97,10 @@ typedef struct {
     int32_t *best;             /* per slot, BIG_KEY between calls */
     void *cand;                /* Candidate scratch, one per VC slot */
     int64_t *pass_nodes;       /* inject revisit list */
-    int64_t *out_pids;         /* injected new-head packet ids */
-    int64_t *out_nodes;        /* ejections: node, tail flag, packet id */
-    uint8_t *out_tails;
-    int64_t *out_eject_pids;
+    /* ingress input buffers: episode, episode-local source and destination */
+    int64_t *in_lane;
+    int64_t *in_src;
+    int64_t *in_dst;
 } SoaState;
 
 /* One switch candidate: an occupied VC that could move this cycle. */
@@ -88,6 +114,76 @@ typedef struct {
 
 int64_t soa_state_size(void) { return (int64_t)sizeof(SoaState); }
 int64_t soa_candidate_size(void) { return (int64_t)sizeof(Candidate); }
+int64_t soa_registry_layout(void) { return REG_COLUMNS * 256 + NUM_COUNTS; }
+
+/* Packet ingress: queue ``count`` packets of ``size`` flits created at
+ * ``cycle``, read from in_src / in_dst (episode-local node ids) and, when
+ * ``lane`` < 0, from in_lane (else every packet belongs to episode ``lane``).
+ * Packets are taken in order with the per-packet semantics of
+ * enqueue_packet, so duplicate sources in one batch see each other: a pair
+ * unroutable from the start state, or a source queue without room for the
+ * whole packet, counts one drop on the packet's episode.  An accepted packet
+ * appends a registry row and its flits to the source-queue ring.
+ *
+ * Returns the number of packets accepted; -1 (no side effect) when the
+ * registry has no room for ``count`` more rows or the input buffers are too
+ * small, -2 (no side effect) when an id is out of range. */
+int64_t soa_ingress(SoaState *s, int64_t count, int64_t lane, int64_t size,
+                    int64_t cycle, int64_t malicious) {
+    const int64_t n = s->episode_nodes;
+    if (s->reg_len[0] + count > s->reg_capacity || count > s->in_capacity) return -1;
+    for (int64_t i = 0; i < count; i++) {
+        const int64_t ep = lane >= 0 ? lane : s->in_lane[i];
+        if (ep < 0 || ep >= s->episodes || s->in_src[i] < 0 || s->in_src[i] >= n
+            || s->in_dst[i] < 0 || s->in_dst[i] >= n)
+            return -2;
+    }
+    if (size < 1) return -2;
+    const int64_t cap = s->capacity;
+    const int64_t rc = s->reg_capacity;
+    int64_t *reg = s->reg;
+    int64_t accepted = 0;
+    for (int64_t i = 0; i < count; i++) {
+        const int64_t ep = lane >= 0 ? lane : s->in_lane[i];
+        const int64_t src = s->in_src[i];
+        const int64_t dst = s->in_dst[i];
+        const int64_t node = ep * n + src;
+        int64_t *cnt = s->counts + ep * NUM_COUNTS;
+        if (s->routable && !s->routable[src * n + dst]) {
+            cnt[CNT_DROPPED] += 1;
+            cnt[CNT_UNROUTABLE] += 1;
+            continue;
+        }
+        const int64_t queued = s->sq_count[node];
+        if (queued + size > cap) {
+            cnt[CNT_DROPPED] += 1;
+            continue;
+        }
+        const int64_t pid = s->reg_len[0]++;
+        reg[COL_SOURCE * rc + pid] = src;
+        reg[COL_DEST * rc + pid] = ep * n + dst;
+        reg[COL_SIZE * rc + pid] = size;
+        reg[COL_CREATED * rc + pid] = cycle;
+        reg[COL_INJECTED * rc + pid] = -1;
+        reg[COL_EJECTED * rc + pid] = -1;
+        reg[COL_MALICIOUS * rc + pid] = malicious != 0;
+        reg[COL_EPISODE * rc + pid] = ep;
+        cnt[CNT_CREATED] += 1;
+        if (malicious) cnt[CNT_MAL_CREATED] += 1;
+        /* Flit words: ascending flit index, tail bit on the last. */
+        int64_t *ring = s->sq_flat + node * cap;
+        int64_t pos = s->sq_head[node] + queued;
+        if (pos >= cap) pos -= cap;
+        const int64_t word = pid << PKT_SHIFT;
+        for (int64_t f = 0; f < size; f++) {
+            ring[pos] = word | f | (f == size - 1 ? TAIL_BIT : 0);
+            if (++pos == cap) pos = 0;
+        }
+        s->sq_count[node] = queued + size;
+        accepted++;
+    }
+    return accepted;
+}
 
 /* First unallocated VC of ``port``, or num_vcs when every VC is taken. */
 static void refresh_first_free(SoaState *s, int64_t port) {
@@ -99,12 +195,13 @@ static void refresh_first_free(SoaState *s, int64_t port) {
 }
 
 /* One injection attempt at ``node``; returns 1 when a flit entered. */
-static int inject_node(SoaState *s, int64_t node, int64_t cycle, int64_t *recorded) {
+static int inject_node(SoaState *s, int64_t node, int64_t cycle) {
+    int64_t *injected = s->reg + COL_INJECTED * s->reg_capacity;
     const int64_t front = s->sq_head[node];
     const int64_t val = s->sq_flat[node * s->capacity + front];
     const int64_t pkt = val >> PKT_SHIFT;
     const int is_head = (val & FIDX_MASK) == 0;
-    const int new_head = is_head && s->pkt_injected[pkt] < 0;
+    const int new_head = is_head && injected[pkt] < 0;
     const int throttled = s->limits[node] < 1.0;
     if (throttled && new_head && s->allowance[node] < 1.0) return 0;
 
@@ -137,18 +234,18 @@ static int inject_node(SoaState *s, int64_t node, int64_t cycle, int64_t *record
     }
     if (throttled) s->allowance[node] -= 1.0;
     if (new_head) {
-        s->pkt_injected[pkt] = cycle;
-        s->out_pids[(*recorded)++] = pkt;
+        const int64_t episode = s->reg[COL_EPISODE * s->reg_capacity + pkt];
+        injected[pkt] = cycle;
+        s->counts[episode * NUM_COUNTS + CNT_INJECTED] += 1;
     }
     return 1;
 }
 
-/* Injection phase.  Returns the number of new-head packet ids written to
- * out_pids, in the NumPy kernel's order (pass by pass, ascending node). */
-int64_t soa_inject(SoaState *s, int64_t cycle) {
+/* Injection phase: stamps the injection cycle of every packet whose head
+ * entered, in the NumPy kernel's order (pass by pass, ascending node). */
+void soa_inject(SoaState *s, int64_t cycle) {
     const double bandwidth = (double)s->bandwidth;
     const int multipass = s->bandwidth > 1;
-    int64_t recorded = 0;
     int64_t revisit = 0;
     for (int64_t node = 0; node < s->num_nodes; node++) {
         if (s->limits[node] < 1.0) {
@@ -157,7 +254,7 @@ int64_t soa_inject(SoaState *s, int64_t cycle) {
             const double credit = s->allowance[node] + s->limits[node] * bandwidth;
             s->allowance[node] = credit < bandwidth ? credit : bandwidth;
         }
-        if (s->sq_count[node] > 0 && inject_node(s, node, cycle, &recorded) && multipass
+        if (s->sq_count[node] > 0 && inject_node(s, node, cycle) && multipass
             && s->sq_count[node] > 0)
             s->pass_nodes[revisit++] = node;
     }
@@ -165,17 +262,18 @@ int64_t soa_inject(SoaState *s, int64_t cycle) {
         int64_t kept = 0;
         for (int64_t i = 0; i < revisit; i++) {
             const int64_t node = s->pass_nodes[i];
-            if (inject_node(s, node, cycle, &recorded) && s->sq_count[node] > 0)
+            if (inject_node(s, node, cycle) && s->sq_count[node] > 0)
                 s->pass_nodes[kept++] = node;
         }
         revisit = kept;
     }
-    return recorded;
 }
 
-/* Switch allocation plus link traversal.  Returns the number of ejections
- * written to out_nodes/out_tails/out_eject_pids (ascending node order), or
- * -1 when an unroutable head reached the switch (excision invariant). */
+/* Switch allocation plus link traversal.  Ejections update the per-node
+ * counters; tail ejections stamp the ejection cycle, append to the delivered
+ * log (ascending node order) and count on the packet's episode.  Returns the
+ * number of flits ejected, or -1 when an unroutable head reached the switch
+ * (excision invariant). */
 int64_t soa_switch(SoaState *s, int64_t cycle) {
     const int64_t v = s->num_vcs;
     const int64_t depth = s->depth;
@@ -187,7 +285,8 @@ int64_t soa_switch(SoaState *s, int64_t cycle) {
     const int16_t *vc_head = s->vc_head;
     const int64_t *vc_slots = s->vc_slots;
     const int32_t *vc_down = s->vc_down;
-    const int64_t *pkt_dest = s->pkt_dest;
+    const int64_t rc = s->reg_capacity;
+    const int64_t *pkt_dest = s->reg + COL_DEST * rc;
     const int16_t *first_free = s->port_first_free;
     const int64_t *down_port = s->down_port;
     int32_t *best = s->best;
@@ -267,9 +366,18 @@ int64_t soa_switch(SoaState *s, int64_t cycle) {
             if (q % v < s->port_first_free[port]) s->port_first_free[port] = (int16_t)(q % v);
         }
         if (c.slot % 5 == 0) {
-            s->out_nodes[ejected] = port / 5;
-            s->out_tails[ejected] = (c.val & TAIL_BIT) != 0;
-            s->out_eject_pids[ejected] = c.val >> PKT_SHIFT;
+            const int64_t node = port / 5;
+            s->flits_ejected[node] += 1;
+            if (c.val & TAIL_BIT) {
+                const int64_t pkt = c.val >> PKT_SHIFT;
+                int64_t *cnt = s->counts + s->reg[COL_EPISODE * rc + pkt] * NUM_COUNTS;
+                s->packets_ejected[node] += 1;
+                s->reg[COL_EJECTED * rc + pkt] = cycle;
+                s->reg[COL_LOG * rc + s->reg_len[1]++] = pkt;
+                cnt[CNT_DELIVERED] += 1;
+                cnt[CNT_FLITS_DELIVERED] += s->reg[COL_SIZE * rc + pkt];
+                cnt[CNT_MAL_DELIVERED] += s->reg[COL_MALICIOUS * rc + pkt];
+            }
             ejected++;
             continue;
         }

@@ -17,8 +17,9 @@ modified ``.so`` is rebuilt instead of loaded.  Hidden directories are not
 cache entries, so size-cap eviction never deletes a build.
 
 :class:`CompiledKernel` binds one network: a ``SoaState`` struct of array
-pointers built once, refreshed only when the packet-registry columns grow
-or data-plane faults install the fault-aware route table.
+pointers built once.  Only the packet registry moves afterwards (it grows
+by reallocation, counted by one generation number); data-plane faults drop
+the binding so the next call rebinds with the fault-aware route tables.
 """
 
 from __future__ import annotations
@@ -52,18 +53,34 @@ _CANDIDATE_BYTES = 24
 
 #: ``SoaState`` of soa_kernel.c, field for field (every field 8 bytes wide).
 _INT_FIELDS = (
-    "num_nodes", "episode_q", "num_vcs", "depth", "capacity", "bandwidth", "dynamic"
+    "num_nodes", "episode_nodes", "episodes", "episode_q", "num_vcs", "depth",
+    "capacity", "bandwidth", "dynamic", "reg_capacity", "in_capacity",
 )  # fmt: skip
 _POINTER_FIELDS = (
     "vc_slots", "vc_head", "vc_count", "vc_alloc", "vc_down", "port_first_free",
     "node_vc", "buf_writes", "buf_reads", "occupied",
     "sq_flat", "sq_head", "sq_count", "limits", "allowance",
-    "pkt_dest", "pkt_injected",
+    "reg", "reg_len", "counts", "flits_ejected", "packets_ejected", "routable",
     "key_table", "down_port", "route_slot", "q_node_base", "q_slot_off",
     "route3", "q_state_base", "opposite",
-    "best", "cand", "pass_nodes", "out_pids", "out_nodes", "out_tails",
-    "out_eject_pids",
+    "best", "cand", "pass_nodes", "in_lane", "in_src", "in_dst",
 )  # fmt: skip
+
+#: Packet-registry columns: rows of the ``(REG_COLUMNS, capacity)`` int64
+#: table of :class:`~repro.noc.soa.PacketRegistry`, the ``COL_*`` enum of
+#: soa_kernel.c.  ``COL_LOG`` is the delivered log (packet ids in delivery order).
+(
+    COL_SOURCE, COL_DEST, COL_SIZE, COL_CREATED, COL_INJECTED, COL_EJECTED,
+    COL_MALICIOUS, COL_EPISODE, COL_LOG,
+) = range(9)  # fmt: skip
+REG_COLUMNS = 9
+#: Per-episode counters: columns of the ``(episodes, NUM_COUNTS)`` int64
+#: table of :class:`~repro.noc.soa.SoAMeshNetwork`, the ``CNT_*`` enum.
+(
+    CNT_CREATED, CNT_INJECTED, CNT_DELIVERED, CNT_FLITS_DELIVERED,
+    CNT_MAL_CREATED, CNT_MAL_DELIVERED, CNT_DROPPED, CNT_UNROUTABLE,
+) = range(8)  # fmt: skip
+NUM_COUNTS = 8
 
 
 #: Element type the C side reads through each pointer field.
@@ -71,7 +88,7 @@ _DTYPES = {
     "vc_head": np.int16, "vc_count": np.int16, "port_first_free": np.int16,
     "vc_alloc": np.int32, "vc_down": np.int32, "key_table": np.int32,
     "route_slot": np.int32, "q_slot_off": np.int32, "best": np.int32,
-    "route3": np.int8, "out_tails": np.bool_, "cand": np.uint8,
+    "route3": np.int8, "routable": np.bool_, "cand": np.uint8,
     "limits": np.float64, "allowance": np.float64,
 }  # fmt: skip
 
@@ -167,18 +184,21 @@ def load_library(root: Path | None = None) -> ctypes.CDLL:
         lib = ctypes.CDLL(str(library))
     except OSError as error:
         raise KernelBuildError(f"cannot load {library}: {error}") from error
-    for name in ("soa_state_size", "soa_candidate_size"):
+    for name in ("soa_state_size", "soa_candidate_size", "soa_registry_layout"):
         getattr(lib, name).restype = ctypes.c_int64
         getattr(lib, name).argtypes = []
-    if (lib.soa_state_size(), lib.soa_candidate_size()) != (
-        ctypes.sizeof(_SoaState),
-        _CANDIDATE_BYTES,
-    ):
+    if (
+        lib.soa_state_size(),
+        lib.soa_candidate_size(),
+        lib.soa_registry_layout(),
+    ) != (ctypes.sizeof(_SoaState), _CANDIDATE_BYTES, REG_COLUMNS * 256 + NUM_COUNTS):
         raise KernelBuildError("struct layout mismatch between C and ctypes")
-    for name in ("soa_inject", "soa_switch"):
-        function = getattr(lib, name)
-        function.restype = ctypes.c_int64
-        function.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    lib.soa_inject.restype = None
+    lib.soa_inject.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    lib.soa_switch.restype = ctypes.c_int64
+    lib.soa_switch.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    lib.soa_ingress.restype = ctypes.c_int64
+    lib.soa_ingress.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 5
     return lib
 
 
@@ -201,7 +221,11 @@ class CompiledKernel:
     """One network's binding to the compiled kernels.
 
     Holds a reference to every array whose address sits in the struct, so
-    the C side can never write through a dangling pointer.
+    the C side can never write through a dangling pointer.  Routing state
+    is bound once (a data-plane fault drops the binding, see
+    ``SoAMeshNetwork.apply_data_faults``); the packet registry is re-pointed
+    whenever its growth ``generation`` moved, which the callers in
+    :mod:`repro.noc.soa_step` check before every C call.
     """
 
     def __init__(self, lib: ctypes.CDLL, net) -> None:
@@ -209,15 +233,11 @@ class CompiledKernel:
 
         nodes = net._array_nodes
         num_ports = nodes * 5
-        num_q = self.num_q = num_ports * net.num_vcs
+        num_q = num_ports * net.num_vcs
+        episode_nodes = net.topology.num_nodes
         self.best = np.full(num_ports, _BIG_KEY, dtype=np.int32)
         self.cand = np.empty(num_q * _CANDIDATE_BYTES, dtype=np.uint8)
         self.pass_nodes = np.empty(nodes, dtype=np.int64)
-        self.out_pids = np.empty(nodes * net.injection_bandwidth, dtype=np.int64)
-        self.out_nodes = np.empty(nodes, dtype=np.int64)
-        self.out_tails = np.empty(nodes, dtype=bool)
-        self.out_eject_pids = np.empty(nodes, dtype=np.int64)
-        episode_nodes = net.topology.num_nodes
         # (array, element count the C side indexes up to).
         self._arrays = {
             "vc_slots": (net._vc_slots, num_q * net.vc_depth),
@@ -235,53 +255,68 @@ class CompiledKernel:
             "sq_count": (net._sq_count, nodes),
             "limits": (net._limits, nodes),
             "allowance": (net._allowance, nodes),
+            "reg_len": (net._registry.lengths, 2),
+            "counts": (net._counts, net.episodes * NUM_COUNTS),
+            "flits_ejected": (net._flits_ejected, nodes),
+            "packets_ejected": (net._packets_ejected, nodes),
+            "routable": (net._routable_start, episode_nodes * episode_nodes),
             "key_table": (net._key_table, KEY_PERIOD * num_q),
             "down_port": (net._down_port, num_ports),
             "route_slot": (net._route_slot, episode_nodes * episode_nodes),
             "q_node_base": (net._q_node_base, num_q),
             "q_slot_off": (net._q_slot_off, num_q),
+            "route3": (net._route3, episode_nodes * 5 * episode_nodes),
+            "q_state_base": (net._q_state_base, num_q),
             "opposite": (net._tables.opposite, 5),
             "best": (self.best, num_ports),
             "cand": (self.cand, num_q * _CANDIDATE_BYTES),
             "pass_nodes": (self.pass_nodes, nodes),
-            "out_pids": (self.out_pids, nodes * net.injection_bandwidth),
-            "out_nodes": (self.out_nodes, nodes),
-            "out_tails": (self.out_tails, nodes),
-            "out_eject_pids": (self.out_eject_pids, nodes),
         }
         self.state = _SoaState(
             num_nodes=nodes,
+            episode_nodes=episode_nodes,
+            episodes=net.episodes,
             episode_q=episode_nodes * 5 * net.num_vcs,
             num_vcs=net.num_vcs,
             depth=net.vc_depth,
             capacity=net.source_queue_capacity,
             bandwidth=net.injection_bandwidth,
+            dynamic=1 if net._dynamic_routes else 0,
             **{name: _pointer(name, *entry) for name, entry in self._arrays.items()},
         )
-        # ``inject(cycle)`` / ``switch(cycle)``: straight into C, no Python
-        # frame.  inject returns the new-head count written to out_pids;
-        # switch the ejection count (out_nodes/out_tails/out_eject_pids), or
-        # -1 when an unroutable head reached it.
-        address = ctypes.addressof(self.state)
-        self.inject = partial(lib.soa_inject, address)
-        self.switch = partial(lib.soa_switch, address)
-        self.refresh(net)
-
-    def refresh(self, net) -> None:
-        """Re-point the registry columns and the fault-aware route table."""
-        self.injected_ref = net._pkt_injected._data
-        self.dest_ref = net._pkt_dest._data
-        self.route3_ref = net._route3
-        self.q_state_base_ref = net._q_state_base
-        state = self.state
-        state.pkt_injected = _pointer("pkt_injected", self.injected_ref)
-        state.pkt_dest = _pointer("pkt_dest", self.dest_ref)
-        episode_nodes = net.topology.num_nodes
-        state.route3 = _pointer(
-            "route3", self.route3_ref, episode_nodes * 5 * episode_nodes
-        )
-        state.q_state_base = _pointer("q_state_base", self.q_state_base_ref, self.num_q)
-        state.dynamic = 1 if net._dynamic_routes else 0
         # Without a route table (past the cut-over) routing is derived on the
         # fly, which only the NumPy kernel does.
         self.routes = bool(net._dynamic_routes) or net._route_slot is not None
+        self.reserve_inputs(max(nodes, 64))
+        self.refresh(net)
+        # ``inject(cycle)`` / ``switch(cycle)`` / ``ingress(count, lane,
+        # size, cycle, malicious)``: straight into C, no Python frame.
+        # switch returns the flits ejected, or -1 when an unroutable head
+        # reached it; ingress the packets accepted, or -1 (registry or input
+        # buffers too small) / -2 (node id out of range) with no side effect.
+        address = ctypes.addressof(self.state)
+        self.inject = partial(lib.soa_inject, address)
+        self.switch = partial(lib.soa_switch, address)
+        self.ingress = partial(lib.soa_ingress, address)
+
+    def reserve_inputs(self, count: int) -> None:
+        """(Re)allocate the ingress input buffers for ``count`` packets."""
+        self.in_capacity = count
+        self.in_lane = np.zeros(count, dtype=np.int64)
+        self.in_src = np.zeros(count, dtype=np.int64)
+        self.in_dst = np.zeros(count, dtype=np.int64)
+        state = self.state
+        state.in_capacity = count
+        state.in_lane = _pointer("in_lane", self.in_lane)
+        state.in_src = _pointer("in_src", self.in_src)
+        state.in_dst = _pointer("in_dst", self.in_dst)
+
+    def refresh(self, net) -> None:
+        """Re-point the packet registry (after it grew)."""
+        registry = net._registry
+        self.registry_ref = registry.table
+        self.registry_generation = registry.generation
+        self.state.reg = _pointer(
+            "reg", registry.table, REG_COLUMNS * registry.capacity
+        )
+        self.state.reg_capacity = registry.capacity

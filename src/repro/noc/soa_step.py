@@ -5,8 +5,10 @@ These functions implement the same three-phase cycle as the object backend
 link traversal — but operate on the flat NumPy state arrays of
 :class:`repro.noc.soa.SoAMeshNetwork` instead of walking ``Router`` /
 ``VirtualChannel`` / ``Flit`` objects.  No per-packet Python object is
-touched on the hot path; packet objects surface only at the (rare) head
-injection and tail-ejection events that feed the latency statistics.
+touched on the hot path: packets are rows of the network's columnar
+:class:`~repro.noc.soa.PacketRegistry`, which :func:`ingress` appends to and
+the two phases stamp in place (injection and ejection cycles, the delivered
+log, the per-episode counters).
 
 The kernels are written to be **behavior-fingerprint-identical** to the
 object backend: the same packets move through the same virtual channels in
@@ -35,11 +37,12 @@ downstream-port base per ``(router, output)`` pair, and the rotation
 priority key per VC for each of the 60 (= lcm of 3/4/5-port routers)
 arbitration phases.
 
-The same two phases also exist as a compiled C kernel
+The same phases, plus packet ingress, also exist as a compiled C kernel
 (:mod:`repro.noc.soa_kernel`), one call per phase instead of ~80 NumPy
-dispatches per cycle.  :func:`inject` and :func:`switch` stay the only entry
-points and dispatch to it when it is selected and builds; the NumPy kernels
-below are the fallback and the equivalence oracle (:func:`use_kernel`).
+dispatches per cycle.  :func:`ingress`, :func:`inject` and :func:`switch`
+stay the only entry points and dispatch to it when it is selected and
+builds; the NumPy kernels below are the fallback and the equivalence oracle
+(:func:`use_kernel`).
 """
 
 from __future__ import annotations
@@ -49,8 +52,26 @@ import warnings
 import numpy as np
 
 from repro.noc import soa_kernel
+from repro.noc.soa_kernel import (
+    CNT_CREATED,
+    CNT_DELIVERED,
+    CNT_DROPPED,
+    CNT_FLITS_DELIVERED,
+    CNT_INJECTED,
+    CNT_MAL_CREATED,
+    CNT_MAL_DELIVERED,
+    CNT_UNROUTABLE,
+    COL_DEST,
+    COL_EJECTED,
+    COL_EPISODE,
+    COL_INJECTED,
+    COL_LOG,
+    COL_MALICIOUS,
+    COL_SIZE,
+)
 
 __all__ = [
+    "ingress",
     "inject",
     "switch",
     "use_kernel",
@@ -159,11 +180,9 @@ def inject(net, cycle: int) -> None:
     if kernel is None:
         _inject_numpy(net, cycle)
         return
-    if net._pkt_injected._data is not kernel.injected_ref:
+    if net._registry.generation != kernel.registry_generation:
         kernel.refresh(net)
-    count = kernel.inject(cycle)
-    if count:
-        net._record_injected_ids(kernel.out_pids[:count], cycle)
+    kernel.inject(cycle)
 
 
 def _inject_numpy(net, cycle: int) -> None:
@@ -206,7 +225,7 @@ def _inject_pass(net, nodes: np.ndarray, cycle: int) -> np.ndarray:
     # A flit starts a new packet when it is the head flit of a packet that
     # has not entered the network yet; only those are gated by the policy
     # limit (continuation flits must never strand a partial worm).
-    new_head = is_head & (net._pkt_injected.values[pkt] < 0)
+    new_head = is_head & (net._registry.table[COL_INJECTED, pkt] < 0)
     throttled = None
     if net._limited_idx.size:
         throttled = net._limits[nodes] < 1.0
@@ -274,7 +293,13 @@ def _inject_pass(net, nodes: np.ndarray, cycle: int) -> np.ndarray:
 
     new_idx = np.nonzero(new_head)[0]
     if new_idx.size:
-        net._record_injected_ids(pkt[new_idx], cycle)
+        # Head flits of new packets entered the network this cycle.
+        pids = pkt[new_idx]
+        table = net._registry.table
+        table[COL_INJECTED, pids] = cycle
+        net._counts[:, CNT_INJECTED] += np.bincount(
+            table[COL_EPISODE, pids], minlength=net.episodes
+        )
 
     if net.injection_bandwidth == 1:
         return nodes[:0]
@@ -299,24 +324,13 @@ def switch(net, cycle: int) -> None:
     if binding is None or binding[0] != _generation:
         binding = _bind(net)
     kernel = binding[1]
-    if kernel is not None and (
-        net._pkt_dest._data is not kernel.dest_ref
-        or net._route3 is not kernel.route3_ref
-    ):
-        kernel.refresh(net)
     if kernel is None or not kernel.routes:
         _switch_numpy(net, cycle)
         return
-    count = kernel.switch(cycle)
-    if count:
-        if count < 0:  # pragma: no cover - excision invariant
-            raise RuntimeError("unroutable head reached the switch kernel")
-        net._record_ejections(
-            kernel.out_nodes[:count],
-            kernel.out_tails[:count],
-            kernel.out_eject_pids[:count],
-            cycle,
-        )
+    if net._registry.generation != kernel.registry_generation:
+        kernel.refresh(net)
+    if kernel.switch(cycle) < 0:  # pragma: no cover - excision invariant
+        raise RuntimeError("unroutable head reached the switch kernel")
 
 
 def _switch_numpy(net, cycle: int) -> None:
@@ -337,7 +351,7 @@ def _switch_numpy(net, cycle: int) -> None:
     # Past the route-table cut-over (O(nodes²) memory) the direction is
     # derived on the fly from coordinates — a handful of elementwise ops on
     # the candidate set instead of one gather into a quadratic table.
-    dest = net._pkt_dest.values[pkt]
+    dest = net._registry.table[COL_DEST, pkt]
     if net._dynamic_routes:
         # Degraded mesh: the fault-aware provider's state-dependent table
         # replaces XY.  VCs with a live wormhole binding derive their output
@@ -441,12 +455,12 @@ def _switch_numpy(net, cycle: int) -> None:
     np.minimum.at(net._port_first_free, tail_ports, released % net.num_vcs)
 
     # Ejections (at most one per router per cycle, in ascending node order —
-    # the same order the object backend records deliveries in).  A handful
-    # of flits eject per cycle, so a scalar loop beats the vector ops here.
+    # the same order the object backend records deliveries in).
     win_eject = eject[winners]
     eject_idx = np.nonzero(win_eject)[0]
     if eject_idx.size:
-        net._record_ejections(
+        _record_ejections(
+            net,
             net._q_node[src[eject_idx]],
             win_tail[eject_idx],
             win_val[eject_idx] >> PKT_SHIFT,
@@ -477,3 +491,168 @@ def _switch_numpy(net, cycle: int) -> None:
         # Wormhole: body/tail flits must follow the head into the same
         # downstream VC; the tail releases the binding.
         net._vc_down[src[fwd_idx]] = np.where(fwd_tail, -1, dst)
+
+
+def _record_ejections(
+    net, nodes: np.ndarray, tails: np.ndarray, pids: np.ndarray, cycle: int
+) -> None:
+    """Flits left the network at their LOCAL output this cycle.
+
+    A router ejects at most one flit per cycle, so ``nodes`` holds no
+    duplicates and plain fancy-indexed increments are exact.  Tail flits
+    complete their packet: ejection cycle, delivered log, episode counters.
+    """
+    net._flits_ejected[nodes] += 1
+    tail_pids = pids[tails]
+    if tail_pids.size == 0:
+        return
+    net._packets_ejected[nodes[tails]] += 1
+    registry = net._registry
+    table = registry.table
+    table[COL_EJECTED, tail_pids] = cycle
+    logged = int(registry.lengths[1])
+    table[COL_LOG, logged : logged + tail_pids.size] = tail_pids
+    registry.lengths[1] = logged + tail_pids.size
+    episodes = table[COL_EPISODE, tail_pids]
+    counts = net._counts
+    lanes = net.episodes
+    counts[:, CNT_DELIVERED] += np.bincount(episodes, minlength=lanes)
+    for count, field in (
+        (CNT_FLITS_DELIVERED, COL_SIZE),
+        (CNT_MAL_DELIVERED, COL_MALICIOUS),
+    ):
+        counts[:, count] += np.bincount(
+            episodes, weights=table[field, tail_pids], minlength=lanes
+        ).astype(np.int64)
+
+
+# -- packet ingress ------------------------------------------------------------
+
+
+def ingress(
+    net,
+    lane: int,
+    sources,
+    destinations,
+    size_flits: int,
+    cycle: int,
+    malicious: bool,
+    lanes=None,
+) -> int:
+    """Queue one packet per (source, destination) pair; returns the accepted count.
+
+    ``sources`` / ``destinations`` are episode-local node ids of episode
+    ``lane``, or of ``lanes[i]`` when ``lane`` is -1.  Packets are taken in
+    order with per-packet semantics — duplicate sources see each other's
+    flits — and a packet is dropped (counted on its episode) when its pair
+    is unroutable from the start state or its source queue lacks room for
+    the whole packet.  Accepted packets become registry rows and queued
+    flit words, on the selected kernel.
+    """
+    count = len(sources)
+    if count == 0:
+        return 0
+    binding = net._kernel
+    if binding is None or binding[0] != _generation:
+        binding = _bind(net)
+    kernel = binding[1]
+    registry = net._registry
+    if kernel is None:
+        return _ingress_numpy(
+            net, lane, sources, destinations, size_flits, cycle, malicious, lanes
+        )
+    if count > kernel.in_capacity:
+        kernel.reserve_inputs(count)
+    kernel.in_src[:count] = sources
+    kernel.in_dst[:count] = destinations
+    if lanes is not None:
+        kernel.in_lane[:count] = lanes
+    if registry.generation != kernel.registry_generation:
+        kernel.refresh(net)
+    accepted = kernel.ingress(count, lane, size_flits, cycle, malicious)
+    if accepted == -1:
+        registry.reserve(count)
+        kernel.refresh(net)
+        accepted = kernel.ingress(count, lane, size_flits, cycle, malicious)
+    if accepted < 0:
+        raise ValueError("packet source/destination outside the mesh")
+    return accepted
+
+
+def _ingress_numpy(
+    net, lane, sources, destinations, size_flits, cycle, malicious, lanes
+) -> int:
+    """Vectorized :func:`ingress`: the same per-packet semantics as arrays.
+
+    All packets of one call share a size, so the ``k``-th packet a batch
+    queues at a node fits exactly when ``k + 1`` packets fit behind the
+    node's current backlog; later packets of a node that ran out of room
+    are dropped, as the sequential check would.
+    """
+    nodes_per_lane = net.topology.num_nodes
+    sources = np.asarray(sources, dtype=np.int64)
+    destinations = np.asarray(destinations, dtype=np.int64)
+    if lanes is None:
+        lanes = np.full(sources.size, lane, dtype=np.int64)
+    else:
+        lanes = np.asarray(lanes, dtype=np.int64)
+    if size_flits < 1 or not (
+        ((sources >= 0) & (sources < nodes_per_lane)).all()
+        and ((destinations >= 0) & (destinations < nodes_per_lane)).all()
+        and ((lanes >= 0) & (lanes < net.episodes)).all()
+    ):
+        raise ValueError("packet source/destination outside the mesh")
+    counts = net._counts
+    episodes = net.episodes
+    if net._routable_start is not None:
+        routable = net._routable_start[sources, destinations]
+        if not routable.all():
+            unroutable = np.bincount(lanes[~routable], minlength=episodes)
+            counts[:, CNT_DROPPED] += unroutable
+            counts[:, CNT_UNROUTABLE] += unroutable
+            sources = sources[routable]
+            destinations = destinations[routable]
+            lanes = lanes[routable]
+    nodes = lanes * nodes_per_lane + sources
+    # Rank of each packet among the batch's packets at the same node.
+    order = np.argsort(nodes, kind="stable")
+    ordered = nodes[order]
+    index = np.arange(ordered.size)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    rank = np.empty_like(index)
+    rank[order] = index - np.maximum.accumulate(np.where(first, index, 0))
+    capacity = net.source_queue_capacity
+    queued = net._sq_count[nodes] + rank * size_flits
+    fits = queued + size_flits <= capacity
+    if not fits.all():
+        counts[:, CNT_DROPPED] += np.bincount(lanes[~fits], minlength=episodes)
+        sources = sources[fits]
+        destinations = destinations[fits]
+        lanes = lanes[fits]
+        nodes = nodes[fits]
+        queued = queued[fits]
+    accepted = int(sources.size)
+    if accepted == 0:
+        return 0
+    first_pid = net._registry.append(
+        sources,
+        lanes * nodes_per_lane + destinations,
+        size_flits,
+        cycle,
+        malicious,
+        lanes,
+    )
+    created = np.bincount(lanes, minlength=episodes)
+    counts[:, CNT_CREATED] += created
+    if malicious:
+        counts[:, CNT_MAL_CREATED] += created
+    pids = np.arange(first_pid, first_pid + accepted, dtype=np.int64)
+    flits = np.arange(size_flits, dtype=np.int64)
+    words = (pids[:, None] << PKT_SHIFT) + flits
+    words[:, -1] += TAIL_BIT
+    starts = net._sq_head[nodes] + queued
+    slots = (starts[:, None] + flits) % capacity
+    net._sq_flat[nodes[:, None] * capacity + slots] = words
+    np.add.at(net._sq_count, nodes, size_flits)
+    return accepted

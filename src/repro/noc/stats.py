@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.noc.packet import Packet
 
-__all__ = ["LatencyStats", "NetworkStats"]
+__all__ = ["DeliveredView", "LatencyStats", "NetworkStats"]
 
 
 @dataclass
@@ -67,6 +67,30 @@ class LatencyStats:
             delivered_flits=delivered_flits,
         )
 
+    @classmethod
+    def from_columns(
+        cls,
+        created: np.ndarray,
+        injected: np.ndarray,
+        ejected: np.ndarray,
+        size: np.ndarray,
+    ) -> "LatencyStats":
+        """:meth:`from_packets` over per-packet int64 columns of delivered
+        packets (bit-identical for the same packets in the same order)."""
+        if len(created) == 0:
+            return cls()
+        total = ejected - created
+        queue = injected - created
+        per_flit_network = (ejected - injected) / size
+        return cls(
+            packet_latency=float(np.mean(total)),
+            packet_queue_latency=float(np.mean(queue)),
+            flit_latency=float(np.mean(np.repeat(queue + per_flit_network, size))),
+            flit_queue_latency=float(np.mean(np.repeat(queue, size))),
+            delivered_packets=len(total),
+            delivered_flits=int(size.sum()),
+        )
+
     def as_dict(self) -> dict[str, float]:
         """Plain-dict view for table/figure generation."""
         return {
@@ -77,6 +101,53 @@ class LatencyStats:
             "delivered_packets": float(self.delivered_packets),
             "delivered_flits": float(self.delivered_flits),
         }
+
+
+@dataclass(frozen=True)
+class DeliveredView:
+    """Columns of delivered packets, in delivery order (one row per packet).
+
+    The latency readers — the guard's per-window latency, the unmitigated
+    comparators, :meth:`NetworkStats.latency` — work on this view, so the
+    SoA backends never build ``Packet`` objects for them.
+    """
+
+    created: np.ndarray
+    injected: np.ndarray
+    ejected: np.ndarray
+    size: np.ndarray
+    malicious: np.ndarray  # bool
+
+    @classmethod
+    def from_packets(cls, packets: list[Packet]) -> "DeliveredView":
+        def column(values, dtype=np.int64) -> np.ndarray:
+            return np.fromiter(values, dtype=dtype, count=len(packets))
+
+        return cls(
+            created=column(p.created_cycle for p in packets),
+            injected=column(p.injected_cycle for p in packets),
+            ejected=column(p.ejected_cycle for p in packets),
+            size=column(p.size_flits for p in packets),
+            malicious=column((p.is_malicious for p in packets), bool),
+        )
+
+    def __len__(self) -> int:
+        return len(self.created)
+
+    def select(self, mask: np.ndarray) -> "DeliveredView":
+        """The rows where ``mask`` holds."""
+        return DeliveredView(
+            created=self.created[mask],
+            injected=self.injected[mask],
+            ejected=self.ejected[mask],
+            size=self.size[mask],
+            malicious=self.malicious[mask],
+        )
+
+    def latency(self) -> LatencyStats:
+        return LatencyStats.from_columns(
+            self.created, self.injected, self.ejected, self.size
+        )
 
 
 @dataclass
@@ -107,18 +178,21 @@ class NetworkStats:
             self.malicious_packets_delivered += 1
         self.delivered.append(packet)
 
+    def delivered_view(self, start: int = 0) -> DeliveredView:
+        """Columns of ``delivered[start:]`` (the SoA backends read them off
+        their packet registry instead of the list)."""
+        return DeliveredView.from_packets(self.delivered[start:])
+
     def latency(self, benign_only: bool = False) -> LatencyStats:
         """Latency statistics over delivered packets.
 
         ``benign_only=True`` excludes flooding packets, matching the paper's
         Figure 1 which measures the impact of the attack on the *workload*.
         """
-        packets = (
-            [p for p in self.delivered if not p.is_malicious]
-            if benign_only
-            else self.delivered
-        )
-        return LatencyStats.from_packets(packets)
+        view = self.delivered_view()
+        if benign_only:
+            view = view.select(~view.malicious)
+        return view.latency()
 
     @property
     def delivery_ratio(self) -> float:

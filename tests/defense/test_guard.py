@@ -6,6 +6,8 @@ exercised with an oracle pipeline (perfect detection/localization), and the
 full learned pipeline is integrated via the session ``trained_pipeline``.
 """
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -210,7 +212,11 @@ class TestReportContents:
         assert guard.report.collateral_node_windows == 2
 
     def test_window_latency_accounting(self):
-        simulator = NoCSimulator(SimulationConfig(rows=4, warmup_cycles=0))
+        # Hand-fed deliveries: only the object backend stores its delivered
+        # list (the SoA backends derive it from their packet registry).
+        simulator = NoCSimulator(
+            SimulationConfig(rows=4, warmup_cycles=0, backend="object")
+        )
         guard = DL2FenceGuard(ScriptedFence([(False, []), (False, [])]))
         guard.simulator = simulator
 
@@ -301,6 +307,32 @@ class TestClosedLoopWithOracle:
         assert report.release_cycle > report.engagement_cycle
         # nothing left restricted at the end of the run
         assert report.windows[-1].restricted == ()
+
+    def test_dropped_episode_is_freed_without_cycle_collection(self):
+        """Dropping a guarded simulator frees its network at once: neither
+        the guard nor the network's own stats refer back into the episode,
+        so finished episodes do not pile up between garbage collections."""
+        from repro.traffic.synthetic import UniformRandomTraffic
+
+        gc.disable()
+        try:
+            simulator = NoCSimulator(SimulationConfig(rows=4, warmup_cycles=0, seed=3))
+            simulator.add_source(
+                UniformRandomTraffic(simulator.topology, injection_rate=0.05, seed=42)
+            )
+            guard = DL2FenceGuard(
+                OracleFence([5]), MitigationPolicy.quarantine(engage_after=1)
+            )
+            guard.attach(simulator, monitor_config=MonitorConfig(sample_period=64))
+            simulator.run(300)
+            assert guard.simulator is simulator
+            assert simulator.stats.delivered
+            network = weakref.ref(simulator.network)
+            del simulator
+            assert network() is None
+            assert guard.simulator is None
+        finally:
+            gc.enable()
 
 
 class TestTrainedPipelineIntegration:

@@ -11,12 +11,16 @@ import math
 
 import pytest
 
+from repro.attacks import default_attack
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.robustness import (
     DEFAULT_ROBUSTNESS_POLICY,
     RobustnessPoint,
+    run_attack_episode,
     run_robustness_matrix,
+    unmitigated_attack_episode_latency,
 )
+from repro.noc.packet import Packet
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.engine import ExperimentEngine
 from repro.runtime.parallel import ParallelRunner
@@ -96,3 +100,30 @@ class TestRunRobustnessMatrix:
         # Second call is served from the matrix cache, identically.
         again = run_robustness_matrix(**kwargs)
         assert [p.to_payload() for p in again] == [p.to_payload() for p in points]
+
+
+def test_guarded_soa_episode_builds_no_packet_objects(
+    monkeypatch, trained_pipeline, small_builder
+):
+    """Latency readers go through the columnar delivered view: one guarded
+    SoA episode plus its unmitigated comparator construct no ``Packet``."""
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "soa")
+    built = []
+    post_init = Packet.__post_init__
+
+    def counting_post_init(packet):
+        built.append(packet)
+        post_init(packet)
+
+    monkeypatch.setattr(Packet, "__post_init__", counting_post_init)
+    model = default_attack(
+        "colluding", small_builder.topology, small_builder.config.sample_period
+    )
+    windows = dict(pre_attack_windows=2, attack_windows=4, post_attack_windows=2)
+    report = run_attack_episode(
+        trained_pipeline, small_builder, DEFAULT_ROBUSTNESS_POLICY, model, **windows
+    )
+    comparator = unmitigated_attack_episode_latency(small_builder, model, **windows)
+    assert built == []
+    assert sum(window.benign_delivered for window in report.windows) > 0
+    assert comparator > 0

@@ -1,11 +1,14 @@
 """Unit tests for the simulator driver and latency statistics."""
 
+import numpy as np
 import pytest
 
 from repro.noc.packet import Packet
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.noc.stats import LatencyStats
 from repro.noc.topology import MeshTopology
+from repro.traffic.flooding import FloodingAttacker, FloodingConfig
+from repro.traffic.synthetic import UniformRandomTraffic
 
 
 class OneShotSource:
@@ -64,7 +67,43 @@ class TestSimulatorRun:
         source = OneShotSource({})
         sim.add_source(source)
         sim.drain()
-        assert sim.sources == [source]
+        assert sim.sources == (source,)
+
+    def test_sources_are_read_only(self):
+        """In-place mutation would bypass the per-cycle emitters: it must
+        fail loudly instead of attaching a source that never emits."""
+        sim = NoCSimulator(SimulationConfig(rows=4, warmup_cycles=0))
+        with pytest.raises(AttributeError):
+            sim.sources.append(OneShotSource({}))
+        packet = Packet(source=0, destination=3, size_flits=1, created_cycle=2)
+        source = OneShotSource({2: [packet]})
+        sim.sources = [source]
+        assert sim.sources == (source,)
+        sim.run(40)
+        assert sim.stats.packets_delivered == 1
+
+    def test_batch_method_resolved_once_and_kept_across_drain(self):
+        """The per-cycle step does no attribute lookup on its sources, and a
+        drain's detach/restore leaves the sources emitting."""
+
+        class CountingTraffic(UniformRandomTraffic):
+            lookups = 0
+
+            def __getattribute__(self, name):
+                if name == "packet_batch_for_cycle":
+                    type(self).lookups += 1
+                return super().__getattribute__(name)
+
+        sim = NoCSimulator(SimulationConfig(rows=4, warmup_cycles=0))
+        sim.add_source(CountingTraffic(sim.topology, injection_rate=0.2, seed=1))
+        sim.run(30)
+        assert CountingTraffic.lookups == 1
+        created = sim.stats.packets_created
+        assert created > 0
+        sim.drain()
+        assert sim.stats.packets_created == created
+        sim.run(30)
+        assert sim.stats.packets_created > created
 
 
 class TestObservers:
@@ -110,6 +149,35 @@ class TestLatencyStats:
         undelivered = Packet(source=0, destination=1)
         stats = LatencyStats.from_packets([undelivered])
         assert stats.delivered_packets == 0
+
+    @pytest.mark.parametrize("benign_only", [False, True])
+    def test_columns_bit_identical_to_packets(self, benign_only):
+        sim = NoCSimulator(SimulationConfig(rows=5, warmup_cycles=0))
+        sim.add_source(UniformRandomTraffic(sim.topology, injection_rate=0.1, seed=3))
+        sim.add_source(
+            FloodingAttacker(
+                FloodingConfig(attackers=(24, 3), victim=1, fir=0.8),
+                sim.topology,
+                seed=4,
+            )
+        )
+        sim.run(400)
+        view = sim.stats.delivered_view()
+        packets = sim.stats.delivered
+        if benign_only:
+            view = view.select(~view.malicious)
+            packets = [p for p in packets if not p.is_malicious]
+        columns = LatencyStats.from_columns(
+            view.created, view.injected, view.ejected, view.size
+        )
+        assert columns.delivered_packets > 100
+        assert columns == LatencyStats.from_packets(packets)
+        assert columns == sim.latency(benign_only=benign_only)
+
+    def test_columns_empty(self):
+        empty = np.empty(0, dtype=np.int64)
+        columns = LatencyStats.from_columns(empty, empty, empty, empty)
+        assert columns == LatencyStats.from_packets([]) == LatencyStats()
 
     def test_benign_only_filter(self):
         sim = NoCSimulator(SimulationConfig(rows=4, warmup_cycles=0))

@@ -14,7 +14,7 @@ import warnings
 
 import pytest
 
-from repro.noc import soa_kernel, soa_step
+from repro.noc import soa, soa_kernel, soa_step
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.runtime.cache import ArtifactCache
 from repro.traffic.flooding import FloodingAttacker, FloodingConfig
@@ -66,6 +66,35 @@ class TestSelection:
     def test_compiled_selection_binds_library(self, restore_kernel):
         assert soa_step.active_kernel() == "compiled"
         assert _flooded(cycles=20).network._kernel[1] is not None
+
+
+@needs_compiler
+class TestRegistryGeneration:
+    def test_registry_growth_mid_episode_keeps_fingerprint(
+        self, monkeypatch, restore_kernel
+    ):
+        """A registry that starts tiny reallocates many times mid-episode;
+        the compiled binding follows its one growth generation."""
+        reference = _flooded()
+        monkeypatch.setattr(soa, "REGISTRY_CAPACITY", 2)
+        grown = _flooded()
+        registry = grown.network._registry
+        assert registry.generation >= 5
+        assert registry.rows > 2
+        assert grown.network._kernel[1].registry_generation == registry.generation
+        assert_same_stats(grown, reference)
+
+    def test_stale_binding_is_repointed_before_each_call(self, restore_kernel):
+        simulator = _flooded(cycles=50)
+        network = simulator.network
+        kernel = network._kernel[1]
+        old_table = network._registry.table
+        network._registry.reserve(network._registry.capacity)
+        assert network._registry.table is not old_table
+        assert kernel.registry_generation != network._registry.generation
+        soa_step.inject(network, simulator.cycle)
+        assert kernel.registry_ref is network._registry.table
+        assert kernel.registry_generation == network._registry.generation
 
 
 class TestBuildFailure:
