@@ -19,21 +19,26 @@ PARSEC workloads (see :mod:`benchmarks.bench_fig6_mitigation_recovery`).
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator
 
 from repro.core.config import DL2FenceConfig
 from repro.core.pipeline import DL2Fence
-from repro.defense.guard import DL2FenceGuard
 from repro.defense.policy import MitigationPolicy
 from repro.defense.report import DefenseReport
 from repro.experiments.config import ExperimentConfig
-from repro.monitor.dataset import DatasetBuilder, DatasetConfig
-from repro.monitor.sampler import MonitorConfig
+from repro.experiments.episodes import (
+    EpisodeShape,
+    EpisodeTask,
+    report_fields,
+    run_episodes,
+    run_guarded_episode,
+    unmitigated_latency,
+)
+from repro.monitor.dataset import DatasetBuilder
 from repro.nn.dtype import default_dtype
 from repro.noc.simulator import NoCSimulator
 from repro.runtime.engine import ExperimentEngine, fence_cache_payload
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
 from repro.traffic.scenario import AttackScenario, MultiAttackScenario
 
 __all__ = [
@@ -42,6 +47,7 @@ __all__ = [
     "MitigationPoint",
     "baseline_benign_latency",
     "default_multi_scenario",
+    "defended_meshes",
     "sweep_fence_key_payload",
     "train_defense_pipeline",
     "run_defended_episode",
@@ -204,17 +210,20 @@ def default_multi_scenario(
 
 
 def _scenario_with_fir(
-    scenario: AttackScenario | MultiAttackScenario,
+    builder: DatasetBuilder,
+    scenario: AttackScenario | MultiAttackScenario | None,
     fir: float,
     flow_fir_profile: tuple[float, ...] | None = None,
 ) -> AttackScenario | MultiAttackScenario:
-    """Override the FIR of a single- or multi-attack scenario.
+    """The episode's attack at its final FIRs (the default flow when ``None``).
 
     Without a profile the override is uniform.  With a profile (multi-attack
     only) the profile is normalised so its loudest flow floods at ``fir`` and
     the others keep their relative quietness — e.g. profile ``(0.8, 0.2)`` at
     ``fir=0.8`` yields per-flow FIRs ``(0.8, 0.2)``.
     """
+    if scenario is None:
+        return _default_scenario(builder, fir)
     if isinstance(scenario, MultiAttackScenario):
         if flow_fir_profile:
             return scenario.with_firs(scaled_flow_firs(flow_fir_profile, fir))
@@ -229,69 +238,6 @@ def scaled_flow_firs(profile: tuple[float, ...], fir: float) -> tuple[float, ...
         raise ValueError("flow FIR profile needs at least one positive entry")
     # Ratio first: the loudest flow lands *exactly* on the swept FIR value.
     return tuple(min(1.0, fir * (value / loudest)) for value in profile)
-
-
-@dataclass(frozen=True)
-class EpisodeShape:
-    """Cycle arithmetic shared by every run of the same attack episode."""
-
-    total_cycles: int
-    attack_start: int
-    attack_end: int
-
-    @classmethod
-    def from_windows(
-        cls, builder: DatasetBuilder, pre: int, attack: int, post: int
-    ) -> "EpisodeShape":
-        period = builder.config.sample_period
-        warmup = builder.config.warmup_cycles
-        return cls(
-            total_cycles=warmup + (pre + attack + post) * period + 1,
-            attack_start=warmup + pre * period,
-            attack_end=warmup + (pre + attack) * period,
-        )
-
-
-def _attacked_simulator(
-    builder: DatasetBuilder,
-    benchmark: str,
-    scenario: AttackScenario | MultiAttackScenario,
-    shape: EpisodeShape,
-    seed: int,
-) -> NoCSimulator:
-    """The defended run's system under attack (identical for all comparators).
-
-    ``scenario`` carries its final per-flow FIRs; callers apply
-    :func:`_scenario_with_fir` before building the simulator.
-    """
-    config = builder.config
-    simulator = NoCSimulator(config.simulation_config())
-    simulator.add_source(builder.make_workload(benchmark, seed=seed))
-    if isinstance(scenario, MultiAttackScenario):
-        for source in scenario.attacker_sources(
-            builder.topology,
-            seed=seed + 1,
-            packet_size_flits=config.packet_size_flits,
-            start_cycle=shape.attack_start,
-            end_cycle=shape.attack_end,
-        ):
-            simulator.add_source(source)
-    else:
-        simulator.add_source(
-            FloodingAttacker(
-                FloodingConfig(
-                    attackers=scenario.attackers,
-                    victim=scenario.victim,
-                    fir=scenario.fir,
-                    packet_size_flits=config.packet_size_flits,
-                    start_cycle=shape.attack_start,
-                    end_cycle=shape.attack_end,
-                ),
-                builder.topology,
-                seed=seed + 1,
-            )
-        )
-    return simulator
 
 
 def baseline_benign_latency(
@@ -345,13 +291,6 @@ def run_defended_episode(
     trying to get back to.  Pass ``baseline_latency`` to reuse a previously
     measured value instead of re-simulating it.
     """
-    shape = EpisodeShape.from_windows(
-        builder, pre_attack_windows, attack_windows, post_attack_windows
-    )
-    if scenario is None:
-        scenario = _default_scenario(builder, fir)
-    else:
-        scenario = _scenario_with_fir(scenario, fir, flow_fir_profile)
     if baseline_latency is None:
         baseline_latency = baseline_benign_latency(
             builder,
@@ -361,21 +300,18 @@ def run_defended_episode(
             post_attack_windows,
             seed,
         )
-
-    simulator = _attacked_simulator(builder, benchmark, scenario, shape, seed)
-    guard = DL2FenceGuard(
+    report = run_guarded_episode(
         fence,
+        builder,
         policy,
-        attack_start=shape.attack_start,
-        attack_end=shape.attack_end,
-        true_attackers=scenario.attackers,
+        _scenario_with_fir(builder, scenario, fir, flow_fir_profile),
+        benchmark,
+        pre_attack_windows,
+        attack_windows,
+        post_attack_windows,
+        seed,
     )
-    guard.attach(
-        simulator,
-        monitor_config=MonitorConfig(sample_period=builder.config.sample_period),
-    )
-    simulator.run(shape.total_cycles)
-    return guard.report, baseline_latency
+    return report, baseline_latency
 
 
 def unmitigated_attack_latency(
@@ -395,41 +331,15 @@ def unmitigated_attack_latency(
     the first window so the congestion has built up) — the do-nothing
     comparator for the mitigated latency.
     """
-    shape = EpisodeShape.from_windows(
-        builder, pre_attack_windows, attack_windows, post_attack_windows
+    return unmitigated_latency(
+        builder,
+        _scenario_with_fir(builder, scenario, fir, flow_fir_profile),
+        benchmark,
+        pre_attack_windows,
+        attack_windows,
+        post_attack_windows,
+        seed,
     )
-    if scenario is None:
-        scenario = _default_scenario(builder, fir)
-    else:
-        scenario = _scenario_with_fir(scenario, fir, flow_fir_profile)
-    simulator = _attacked_simulator(builder, benchmark, scenario, shape, seed)
-    simulator.run(shape.total_cycles)
-    period = builder.config.sample_period
-    view = simulator.stats.delivered_view()
-    span = view.select(
-        ~view.malicious
-        & (view.ejected >= shape.attack_start + period)
-        & (view.ejected <= shape.attack_end)
-    )
-    if not len(span):
-        return float("nan")
-    return span.latency().packet_latency
-
-
-@dataclass(frozen=True)
-class _SweepTask:
-    """One independent simulation of the mitigation sweep fan-out."""
-
-    kind: str  # "unmitigated" | "episode"
-    dataset_config: DatasetConfig
-    benchmark: str
-    fir: float
-    scenario: AttackScenario | MultiAttackScenario | None
-    attack_windows: int
-    flow_fir_profile: tuple[float, ...] | None
-    policy: MitigationPolicy | None = None
-    fence: DL2Fence | None = None
-    baseline: float | None = None
 
 
 def sweep_fence_key_payload(
@@ -455,93 +365,29 @@ def sweep_fence_key_payload(
     )
 
 
-def _task_cache_payload(task: _SweepTask, fence_key: dict) -> tuple[str, dict]:
-    """(cache kind, payload) of one sweep task's per-episode cache entry.
+def defended_meshes(
+    experiments: Iterable[tuple[int, ExperimentConfig]],
+    training_benchmarks: tuple[str, ...],
+    benchmark: str,
+    attack_windows: int,
+    engine: ExperimentEngine,
+) -> Iterator[tuple[int, DL2Fence, DatasetBuilder, float, dict]]:
+    """``(rows, fence, builder, baseline latency, fence key)`` per mesh.
 
-    The fence object itself cannot enter a cache key; its training
-    configuration (``fence_key``) stands in for it.  The pre-computed
-    baseline latency is deliberately excluded — it does not influence the
-    simulated episode, only later table assembly.
+    Each mesh's pipeline is trained (or loaded from the engine's artifact
+    cache) when its turn comes; the baseline is the mesh's no-attack benign
+    latency, the fence key what :func:`run_episodes` keys its episodes by.
     """
-    payload = {
-        "config": task.dataset_config,
-        "benchmark": task.benchmark,
-        "fir": task.fir,
-        "scenario": task.scenario,
-        "attack_windows": task.attack_windows,
-        "flow_fir_profile": task.flow_fir_profile,
-        "dtype": default_dtype(),
-    }
-    if task.kind == "unmitigated":
-        return "unmitigated-latency", payload
-    payload["policy"] = task.policy
-    payload["fence"] = fence_key
-    return "mitigation-episode", payload
-
-
-def _fetch_task_result(engine: ExperimentEngine, kind: str, payload: dict):
-    """Load one cached episode result (None on miss)."""
-    if kind == "unmitigated-latency":
-        return engine.cache.fetch(
-            kind,
-            payload,
-            lambda directory: float(
-                json.loads((directory / "value.json").read_text())["value"]
-            ),
+    for rows, experiment in experiments:
+        fence, builder = train_defense_pipeline(
+            experiment, benchmarks=training_benchmarks, engine=engine
         )
-    return engine.cache.fetch(
-        kind,
-        payload,
-        lambda directory: DefenseReport.from_payload(
-            json.loads((directory / "report.json").read_text())
-        ),
-    )
-
-
-def _store_task_result(engine: ExperimentEngine, kind: str, payload: dict, result):
-    """Persist one episode result into the per-episode cache."""
-    if kind == "unmitigated-latency":
-        engine.cache.store(
-            kind,
-            payload,
-            lambda directory: (directory / "value.json").write_text(
-                json.dumps({"value": float(result)})
-            ),
+        baseline = baseline_benign_latency(
+            builder, benchmark=benchmark, attack_windows=attack_windows
         )
-    else:
-        engine.cache.store(
-            kind,
-            payload,
-            lambda directory: (directory / "report.json").write_text(
-                json.dumps(result.to_payload())
-            ),
+        yield rows, fence, builder, baseline, sweep_fence_key_payload(
+            experiment, training_benchmarks
         )
-
-
-def _run_sweep_task(task: _SweepTask):
-    """Execute one sweep simulation (module-level for worker processes)."""
-    builder = DatasetBuilder(task.dataset_config)
-    if task.kind == "unmitigated":
-        return unmitigated_attack_latency(
-            builder,
-            task.fir,
-            benchmark=task.benchmark,
-            scenario=task.scenario,
-            attack_windows=task.attack_windows,
-            flow_fir_profile=task.flow_fir_profile,
-        )
-    report, _ = run_defended_episode(
-        task.fence,
-        builder,
-        task.policy,
-        fir=task.fir,
-        benchmark=task.benchmark,
-        scenario=task.scenario,
-        attack_windows=task.attack_windows,
-        baseline_latency=task.baseline,
-        flow_fir_profile=task.flow_fir_profile,
-    )
-    return report
 
 
 def run_mitigation_sweep(
@@ -566,13 +412,12 @@ def run_mitigation_sweep(
     concurrent flows asymmetric: the profile is rescaled so the loudest flow
     floods at the swept FIR while the others stay proportionally quieter.
 
-    The pipeline is trained once per mesh through the experiment engine's
-    artifact cache, the independent episode/unmitigated simulations fan out
-    across the engine's worker processes (bit-identical to the serial order
-    — every task carries its own seed), and the finished sweep is memoised.
+    Episodes are cached one by one (see :func:`run_episodes`) and the
+    finished sweep is memoised as a whole.
     """
     base_config = config or ExperimentConfig()
     engine = engine or ExperimentEngine.from_environment()
+    profile = tuple(flow_fir_profile) if flow_fir_profile else None
     payload = {
         "experiment": base_config,
         "firs": tuple(firs),
@@ -582,139 +427,69 @@ def run_mitigation_sweep(
         "num_flows": num_flows,
         "attack_windows": attack_windows,
         "training_benchmarks": tuple(training_benchmarks),
-        "flow_fir_profile": tuple(flow_fir_profile) if flow_fir_profile else None,
+        "flow_fir_profile": profile,
         "dtype": default_dtype(),
     }
-    records = engine.cached_records(
-        "mitigation-sweep",
-        payload,
-        lambda: [
-            point.to_payload()
-            for point in _compute_mitigation_points(
-                tuple(firs),
-                tuple(rows_values),
-                tuple(policies),
-                base_config,
-                benchmark,
-                num_flows,
-                attack_windows,
-                tuple(training_benchmarks),
-                tuple(flow_fir_profile) if flow_fir_profile else None,
-                engine,
+    # Only concurrent flows can be asymmetric.
+    flow_profile = profile if num_flows > 1 else None
+
+    def compute() -> list[dict]:
+        records = []
+        for rows, fence, builder, baseline, fence_key in defended_meshes(
+            ((rows, base_config.scaled(rows=rows)) for rows in rows_values),
+            training_benchmarks,
+            benchmark,
+            attack_windows,
+            engine,
+        ):
+            scenario = (
+                default_multi_scenario(builder, num_flows=num_flows)
+                if num_flows > 1
+                else None
             )
-        ],
-    )
-    return [MitigationPoint.from_payload(record) for record in records]
-
-
-def _compute_mitigation_points(
-    firs: tuple[float, ...],
-    rows_values: tuple[int, ...],
-    policies: tuple[MitigationPolicy, ...],
-    base_config: ExperimentConfig,
-    benchmark: str,
-    num_flows: int,
-    attack_windows: int,
-    training_benchmarks: tuple[str, ...],
-    flow_fir_profile: tuple[float, ...] | None,
-    engine: ExperimentEngine,
-) -> list[MitigationPoint]:
-    """Cache-miss path of the sweep: train once per mesh, fan episodes out."""
-    points: list[MitigationPoint] = []
-    for rows in rows_values:
-        experiment = base_config.scaled(rows=rows)
-        fence, builder = train_defense_pipeline(
-            experiment, benchmarks=training_benchmarks, engine=engine
-        )
-        mesh_baseline = baseline_benign_latency(
-            builder, benchmark=benchmark, attack_windows=attack_windows
-        )
-        scenario = (
-            default_multi_scenario(builder, num_flows=num_flows)
-            if num_flows > 1
-            else None
-        )
-        profile = flow_fir_profile if num_flows > 1 else None
-        tasks: list[_SweepTask] = []
-        for fir in firs:
-            tasks.append(
-                _SweepTask(
-                    kind="unmitigated",
-                    dataset_config=builder.config,
+            tasks = []
+            for fir in firs:
+                comparator = EpisodeTask(
+                    kind="unmitigated-latency",
+                    key={
+                        "fir": fir,
+                        "scenario": scenario,
+                        "flow_fir_profile": flow_profile,
+                    },
+                    config=builder.config,
                     benchmark=benchmark,
-                    fir=fir,
-                    scenario=scenario,
+                    attack=_scenario_with_fir(builder, scenario, fir, flow_profile),
                     attack_windows=attack_windows,
-                    flow_fir_profile=profile,
                 )
-            )
-            for policy in policies:
-                tasks.append(
-                    _SweepTask(
-                        kind="episode",
-                        dataset_config=builder.config,
-                        benchmark=benchmark,
-                        fir=fir,
-                        scenario=scenario,
-                        attack_windows=attack_windows,
-                        flow_fir_profile=profile,
-                        policy=policy,
-                        fence=fence,
-                        baseline=mesh_baseline,
+                tasks.append(comparator)
+                tasks += [
+                    replace(
+                        comparator, kind="mitigation-episode", policy=policy, fence=fence
                     )
-                )
-        # Per-episode caching: each task is memoised individually (like
-        # scenario runs), so changing one FIR — or adding a policy — only
-        # simulates the episodes that are actually new.
-        fence_key = sweep_fence_key_payload(experiment, training_benchmarks)
-        cache_keys = [_task_cache_payload(task, fence_key) for task in tasks]
-        cached = [
-            _fetch_task_result(engine, kind, payload) for kind, payload in cache_keys
-        ]
-        missing = [index for index, value in enumerate(cached) if value is None]
-        fresh = engine.runner.map(
-            _run_sweep_task, [tasks[index] for index in missing]
-        )
-        for index, value in zip(missing, fresh):
-            cached[index] = value
-            kind, payload = cache_keys[index]
-            _store_task_result(engine, kind, payload, value)
-        results = iter(cached)
-        for fir in firs:
-            unmitigated = next(results)
-            flow_firs = scaled_flow_firs(profile, fir) if profile else ()
-            for policy in policies:
-                report = next(results)
-                truth = set(report.true_attackers)
-                points.append(
-                    MitigationPoint(
+                    for policy in policies
+                ]
+            results = iter(run_episodes(tasks, engine, fence_key))
+            for fir in firs:
+                unmitigated = next(results)
+                for policy in policies:
+                    report = next(results)
+                    point = MitigationPoint(
                         fir=fir,
                         rows=rows,
                         policy=policy.name,
-                        # detection of *the attack*: pre-attack false
-                        # positives do not count (detection_latency bounds
-                        # the first detection at attack_start)
-                        detected=report.detection_latency is not None,
-                        detection_latency=report.detection_latency,
-                        time_to_mitigation=report.time_to_mitigation,
-                        baseline_latency=mesh_baseline,
-                        attack_latency=report.attack_latency(),
                         unmitigated_latency=unmitigated,
-                        mitigated_latency=report.post_mitigation_latency(),
-                        recovery_ratio=report.recovery_ratio(mesh_baseline),
                         engaged_nodes=tuple(sorted(report.engaged_nodes)),
-                        collateral_nodes=tuple(sorted(report.collateral_nodes)),
-                        collateral_node_windows=report.collateral_node_windows,
                         benchmark=benchmark,
-                        num_attackers=len(truth),
-                        attackers_fenced=len(truth & report.engaged_nodes),
-                        time_to_full_containment=report.time_to_full_containment,
-                        localization_rounds=report.localization_rounds,
-                        reengagements=report.reengagements,
                         per_attacker_detection_latency=(
                             report.per_attacker_detection_latency()
                         ),
-                        flow_firs=flow_firs,
+                        flow_firs=(
+                            scaled_flow_firs(flow_profile, fir) if flow_profile else ()
+                        ),
+                        **report_fields(report, baseline),
                     )
-                )
-    return points
+                    records.append(point.to_payload())
+        return records
+
+    records = engine.cached_records("mitigation-sweep", payload, compute)
+    return [MitigationPoint.from_payload(record) for record in records]

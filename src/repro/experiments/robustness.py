@@ -16,37 +16,42 @@ distributed colluding and on-route — over a range of mesh sizes.  For each
 
 Episodes run at the adaptive operating point of each mesh scale
 (:meth:`repro.experiments.config.ExperimentConfig.for_mesh`), train one
-pipeline per mesh through the experiment engine's artifact cache, fan the
-independent episodes out across worker processes, and memoise each episode
-individually — extending the matrix by one attack type or mesh size only
-simulates what is new.
+pipeline per mesh through the experiment engine's artifact cache, and run
+their episodes through :func:`repro.experiments.episodes.run_episodes`:
+extending the matrix by one attack type or mesh size only simulates what is
+new (README, "Per-episode caching").
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.attacks import ATTACK_LIBRARY, AttackModel, default_attack
 from repro.core.pipeline import DL2Fence
 from repro.defense.evidence import EvidenceConfig
-from repro.defense.guard import DL2FenceGuard
 from repro.defense.policy import MitigationPolicy
 from repro.defense.report import DefenseReport
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.mitigation import (
-    EpisodeShape,
+from repro.experiments.episodes import (
+    EpisodeTask,
+    report_fields,
+    run_episodes,
+    run_guarded_episode,
+    unmitigated_latency,
+)
+from repro.experiments.mitigation import defended_meshes
+
+# Re-exported for tooling that looks these up on this module
+# (perfbench/tracer.py wraps them here).
+from repro.experiments.mitigation import (  # noqa: F401
     baseline_benign_latency,
-    sweep_fence_key_payload,
     train_defense_pipeline,
 )
 from repro.faults import default_fault_suite
 from repro.faults.base import FaultScenario
-from repro.monitor.dataset import DatasetBuilder, DatasetConfig
-from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
+from repro.monitor.dataset import DatasetBuilder
 from repro.nn.dtype import default_dtype
-from repro.noc.simulator import NoCSimulator
 from repro.runtime.engine import ExperimentEngine
 
 __all__ = [
@@ -219,29 +224,6 @@ class ChaosPoint:
         return cls(**data)
 
 
-def _attacked_simulator(
-    builder: DatasetBuilder,
-    benchmark: str,
-    model: AttackModel,
-    shape: EpisodeShape,
-    seed: int,
-) -> NoCSimulator:
-    """The episode's system under attack (same for defended and unmitigated)."""
-    config = builder.config
-    simulator = NoCSimulator(config.simulation_config())
-    simulator.add_source(builder.make_workload(benchmark, seed=seed))
-    simulator.add_source(
-        model.build_source(
-            builder.topology,
-            seed=seed + 1,
-            packet_size_flits=config.packet_size_flits,
-            start_cycle=shape.attack_start,
-            end_cycle=shape.attack_end,
-        )
-    )
-    return simulator
-
-
 def run_attack_episode(
     fence: DL2Fence,
     builder: DatasetBuilder,
@@ -254,47 +236,28 @@ def run_attack_episode(
     seed: int = 42,
     evidence: EvidenceConfig | bool = True,
     faults: FaultScenario | None = None,
-    degraded: bool = True,
 ) -> DefenseReport:
     """One guarded episode of ``model`` over a benign workload.
 
     ``true_attackers`` of the report is the model's ``containment_nodes``
     set, so ``time_to_full_containment`` demands every position of a
     migrating attacker (and every colluding source) fenced at once.
-
-    ``faults`` installs a fault scenario on the episode.  Monitor-plane
-    faults sit between the sampler and the guard: the simulated hardware is
-    untouched, but the guard sees the scenario's degraded window stream
-    (dropped/delayed windows, silent or stuck monitors, corrupted cells).
-    Data-plane faults break the mesh itself — links or routers die at
-    their scheduled cycle and traffic detours around them.  The fault plane
-    is seeded with the episode ``seed``, so a faulted episode is exactly as
-    reproducible as a clean one.  ``degraded`` toggles the guard's window
-    sanitisation.
+    ``faults`` installs a monitor- or data-plane fault scenario (see
+    :func:`repro.experiments.episodes.run_guarded_episode`).
     """
-    shape = EpisodeShape.from_windows(
-        builder, pre_attack_windows, attack_windows, post_attack_windows
-    )
-    simulator = _attacked_simulator(builder, benchmark, model, shape, seed)
-    guard = DL2FenceGuard(
+    return run_guarded_episode(
         fence,
+        builder,
         policy,
-        attack_start=shape.attack_start,
-        attack_end=shape.attack_end,
-        true_attackers=model.containment_nodes,
-        evidence=evidence,
-        degraded=degraded,
+        model,
+        benchmark,
+        pre_attack_windows,
+        attack_windows,
+        post_attack_windows,
+        seed,
+        evidence,
+        faults,
     )
-    monitor_config = MonitorConfig(sample_period=builder.config.sample_period)
-    if faults is None:
-        guard.attach(simulator, monitor_config=monitor_config)
-    else:
-        faults.schedule_data_faults(simulator)
-        monitor = GlobalPerformanceMonitor(monitor_config).attach(simulator)
-        monitor.set_fault_plane(faults.build_plane(builder.topology, seed=seed))
-        guard.attach(simulator, monitor=monitor)
-    simulator.run(shape.total_cycles)
-    return guard.report
 
 
 def unmitigated_attack_episode_latency(
@@ -307,150 +270,35 @@ def unmitigated_attack_episode_latency(
     seed: int = 42,
 ) -> float:
     """Benign latency of the same episode with no defense (the comparator)."""
-    shape = EpisodeShape.from_windows(
-        builder, pre_attack_windows, attack_windows, post_attack_windows
-    )
-    simulator = _attacked_simulator(builder, benchmark, model, shape, seed)
-    simulator.run(shape.total_cycles)
-    period = builder.config.sample_period
-    view = simulator.stats.delivered_view()
-    span = view.select(
-        ~view.malicious
-        & (view.ejected >= shape.attack_start + period)
-        & (view.ejected <= shape.attack_end)
-    )
-    if not len(span):
-        return float("nan")
-    return span.latency().packet_latency
-
-
-@dataclass(frozen=True)
-class _RobustnessTask:
-    """One independent simulation of the matrix fan-out."""
-
-    kind: str  # "unmitigated" | "episode"
-    dataset_config: DatasetConfig
-    benchmark: str
-    model: AttackModel
-    attack_windows: int
-    policy: MitigationPolicy | None = None
-    evidence: EvidenceConfig | bool = True
-    fence: DL2Fence | None = None
-    faults: FaultScenario | None = None
-
-
-def _task_cache_payload(task: _RobustnessTask, fence_key: dict) -> tuple[str, dict]:
-    """(cache kind, payload) of one matrix task's per-episode cache entry."""
-    payload = {
-        "config": task.dataset_config,
-        "benchmark": task.benchmark,
-        "attack": task.model,
-        "attack_windows": task.attack_windows,
-        "dtype": default_dtype(),
-    }
-    if task.kind == "unmitigated":
-        return "robustness-unmitigated", payload
-    payload["policy"] = task.policy
-    payload["evidence"] = task.evidence
-    payload["fence"] = fence_key
-    if task.faults is not None:
-        payload["faults"] = task.faults
-        return "chaos-episode", payload
-    return "robustness-episode", payload
-
-
-def _run_robustness_task(task: _RobustnessTask):
-    """Execute one matrix simulation (module-level for worker processes)."""
-    builder = DatasetBuilder(task.dataset_config)
-    if task.kind == "unmitigated":
-        return unmitigated_attack_episode_latency(
-            builder,
-            task.model,
-            benchmark=task.benchmark,
-            attack_windows=task.attack_windows,
-        )
-    return run_attack_episode(
-        task.fence,
+    return unmitigated_latency(
         builder,
-        task.policy,
-        task.model,
-        benchmark=task.benchmark,
-        attack_windows=task.attack_windows,
-        evidence=task.evidence,
-        faults=task.faults,
+        model,
+        benchmark,
+        pre_attack_windows,
+        attack_windows,
+        post_attack_windows,
+        seed,
     )
 
 
-def _fetch_task_result(engine: ExperimentEngine, kind: str, payload: dict):
-    """Load one cached matrix result (None on miss)."""
-    if kind == "robustness-unmitigated":
-        return engine.cache.fetch(
-            kind,
-            payload,
-            lambda directory: float(
-                json.loads((directory / "value.json").read_text())["value"]
-            ),
-        )
-    return engine.cache.fetch(
-        kind,
-        payload,
-        lambda directory: DefenseReport.from_payload(
-            json.loads((directory / "report.json").read_text())
-        ),
-    )
-
-
-def _store_task_result(engine: ExperimentEngine, kind: str, payload: dict, result):
-    """Persist one matrix result into the per-episode cache."""
-    if kind == "robustness-unmitigated":
-        engine.cache.store(
-            kind,
-            payload,
-            lambda directory: (directory / "value.json").write_text(
-                json.dumps({"value": float(result)})
-            ),
-        )
-    else:
-        engine.cache.store(
-            kind,
-            payload,
-            lambda directory: (directory / "report.json").write_text(
-                json.dumps(result.to_payload())
-            ),
-        )
-
-
-def run_robustness_matrix(
-    attacks: tuple[str, ...] | None = None,
-    rows_values: tuple[int, ...] = (8,),
-    policy: MitigationPolicy = DEFAULT_ROBUSTNESS_POLICY,
-    config: ExperimentConfig | None = None,
-    benchmark: str = "uniform_random",
-    fir: float = 0.8,
-    colluding_fir: float = 0.2,
-    attack_windows: int = DEFAULT_ATTACK_WINDOWS,
-    training_benchmarks: tuple[str, ...] = ("uniform_random", "tornado"),
-    evidence: EvidenceConfig | bool = True,
-    engine: ExperimentEngine | None = None,
-) -> list[RobustnessPoint]:
-    """Detection-latency / containment / collateral matrix over attack × mesh.
-
-    The pipeline of each mesh scale is trained once at that scale's adaptive
-    operating point (:meth:`ExperimentConfig.for_mesh`, unless ``config``
-    pins a different base) on the standard constant-flood curriculum — the
-    refined variants are *never* trained on, so every row measures
-    generalization of the deployed detector plus the evidence accumulator,
-    not memorisation of the attack shape.
-    """
+def _matrix_plan(
+    attacks: tuple[str, ...] | None,
+    rows_values: tuple[int, ...],
+    config: ExperimentConfig | None,
+    fir: float,
+    colluding_fir: float,
+    evidence: EvidenceConfig | bool,
+) -> tuple[tuple[str, ...], EvidenceConfig | bool, dict, dict]:
+    """Validated attack names, resolved evidence, per-mesh experiments and
+    attack suites: everything both matrices key their cache entries by."""
     attack_names = tuple(attacks) if attacks is not None else tuple(ATTACK_LIBRARY)
     for name in attack_names:
         if name not in ATTACK_LIBRARY:
             raise KeyError(f"unknown attack variant {name!r}")
     if evidence is True:
         # Resolve the default up-front so the accumulator's actual knob
-        # values (not the bare flag) enter every cache key below.
+        # values (not the bare flag) enter every cache key.
         evidence = EvidenceConfig()
-    engine = engine or ExperimentEngine.from_environment()
     experiments = {
         rows: (
             config.scaled(rows=rows)
@@ -475,6 +323,46 @@ def run_robustness_matrix(
         }
         for rows, experiment in experiments.items()
     }
+    return attack_names, evidence, experiments, suites
+
+
+def _matrix_fields(report: DefenseReport, baseline_latency: float) -> dict:
+    """Report-derived fields of a robustness or chaos row."""
+    return dict(
+        report_fields(report, baseline_latency),
+        contained=(
+            report.time_to_full_containment is not None
+            and not report.collateral_nodes
+        ),
+    )
+
+
+def run_robustness_matrix(
+    attacks: tuple[str, ...] | None = None,
+    rows_values: tuple[int, ...] = (8,),
+    policy: MitigationPolicy = DEFAULT_ROBUSTNESS_POLICY,
+    config: ExperimentConfig | None = None,
+    benchmark: str = "uniform_random",
+    fir: float = 0.8,
+    colluding_fir: float = 0.2,
+    attack_windows: int = DEFAULT_ATTACK_WINDOWS,
+    training_benchmarks: tuple[str, ...] = ("uniform_random", "tornado"),
+    evidence: EvidenceConfig | bool = True,
+    engine: ExperimentEngine | None = None,
+) -> list[RobustnessPoint]:
+    """Detection-latency / containment / collateral matrix over attack × mesh.
+
+    The pipeline of each mesh scale is trained once at that scale's adaptive
+    operating point (:meth:`ExperimentConfig.for_mesh`, unless ``config``
+    pins a different base) on the standard constant-flood curriculum — the
+    refined variants are *never* trained on, so every row measures
+    generalization of the deployed detector plus the evidence accumulator,
+    not memorisation of the attack shape.
+    """
+    attack_names, evidence, experiments, suites = _matrix_plan(
+        attacks, rows_values, config, fir, colluding_fir, evidence
+    )
+    engine = engine or ExperimentEngine.from_environment()
     payload = {
         "attacks": attack_names,
         "suites": {str(rows): suites[rows] for rows in rows_values},
@@ -486,123 +374,56 @@ def run_robustness_matrix(
         "evidence": evidence,
         "dtype": default_dtype(),
     }
-    records = engine.cached_records(
-        "robustness-matrix",
-        payload,
-        lambda: [
-            point.to_payload()
-            for point in _compute_robustness_points(
-                attack_names,
-                experiments,
-                suites,
-                policy,
-                benchmark,
-                attack_windows,
-                tuple(training_benchmarks),
-                evidence,
-                engine,
-            )
-        ],
-    )
-    return [RobustnessPoint.from_payload(record) for record in records]
 
-
-def _compute_robustness_points(
-    attack_names: tuple[str, ...],
-    experiments: dict[int, ExperimentConfig],
-    suites: dict[int, dict[str, AttackModel]],
-    policy: MitigationPolicy,
-    benchmark: str,
-    attack_windows: int,
-    training_benchmarks: tuple[str, ...],
-    evidence: EvidenceConfig | bool,
-    engine: ExperimentEngine,
-) -> list[RobustnessPoint]:
-    """Cache-miss path: train per mesh, fan episodes out, assemble points."""
-    points: list[RobustnessPoint] = []
-    for rows, experiment in experiments.items():
-        fence, builder = train_defense_pipeline(
-            experiment, benchmarks=training_benchmarks, engine=engine
-        )
-        mesh_baseline = baseline_benign_latency(
-            builder, benchmark=benchmark, attack_windows=attack_windows
-        )
-        suite = suites[rows]
-        tasks: list[_RobustnessTask] = []
-        for name in attack_names:
-            tasks.append(
-                _RobustnessTask(
-                    kind="unmitigated",
-                    dataset_config=builder.config,
+    def compute() -> list[dict]:
+        records = []
+        for rows, fence, builder, baseline, fence_key in defended_meshes(
+            experiments.items(), training_benchmarks, benchmark, attack_windows, engine
+        ):
+            models = [suites[rows][name] for name in attack_names]
+            tasks = []
+            for model in models:
+                comparator = EpisodeTask(
+                    kind="robustness-unmitigated",
+                    key={"attack": model},
+                    config=builder.config,
                     benchmark=benchmark,
-                    model=suite[name],
+                    attack=model,
                     attack_windows=attack_windows,
                 )
-            )
-            tasks.append(
-                _RobustnessTask(
-                    kind="episode",
-                    dataset_config=builder.config,
-                    benchmark=benchmark,
-                    model=suite[name],
-                    attack_windows=attack_windows,
+                guarded = replace(
+                    comparator,
+                    kind="robustness-episode",
+                    key={"attack": model, "evidence": evidence},
                     policy=policy,
-                    evidence=evidence,
                     fence=fence,
+                    evidence=evidence,
                 )
+                tasks += [comparator, guarded]
+            # Looked up at call time, so a wrapper installed on the module
+            # attribute sees every guarded episode.
+            results = iter(
+                run_episodes(tasks, engine, fence_key, episode=run_attack_episode)
             )
-        fence_key = sweep_fence_key_payload(experiment, training_benchmarks)
-        cache_keys = [_task_cache_payload(task, fence_key) for task in tasks]
-        cached = [
-            _fetch_task_result(engine, kind, payload) for kind, payload in cache_keys
-        ]
-        missing = [index for index, value in enumerate(cached) if value is None]
-        fresh = engine.runner.map(
-            _run_robustness_task, [tasks[index] for index in missing]
-        )
-        for index, value in zip(missing, fresh):
-            cached[index] = value
-            kind, payload = cache_keys[index]
-            _store_task_result(engine, kind, payload, value)
-        results = iter(cached)
-        for name in attack_names:
-            unmitigated = next(results)
-            report = next(results)
-            model = suite[name]
-            truth = set(model.containment_nodes)
-            contained = (
-                report.time_to_full_containment is not None
-                and not report.collateral_nodes
-            )
-            points.append(
-                RobustnessPoint(
+            for name, model in zip(attack_names, models):
+                unmitigated, report = next(results), next(results)
+                point = RobustnessPoint(
                     attack=name,
                     rows=rows,
                     policy=policy.name,
-                    detected=report.detection_latency is not None,
-                    detection_latency=report.detection_latency,
-                    time_to_mitigation=report.time_to_mitigation,
-                    time_to_full_containment=report.time_to_full_containment,
-                    num_attackers=len(truth),
-                    attackers_fenced=len(truth & report.engaged_nodes),
-                    contained=contained,
-                    collateral_nodes=tuple(sorted(report.collateral_nodes)),
-                    collateral_node_windows=report.collateral_node_windows,
-                    localization_rounds=report.localization_rounds,
-                    reengagements=report.reengagements,
                     evidence_convictions=sum(
                         1 for event in report.events if event.kind == "convicted"
                     ),
-                    baseline_latency=mesh_baseline,
-                    attack_latency=report.attack_latency(),
                     unmitigated_latency=unmitigated,
-                    mitigated_latency=report.post_mitigation_latency(),
-                    recovery_ratio=report.recovery_ratio(mesh_baseline),
                     benchmark=benchmark,
                     description=model.describe(),
+                    **_matrix_fields(report, baseline),
                 )
-            )
-    return points
+                records.append(point.to_payload())
+        return records
+
+    records = engine.cached_records("robustness-matrix", payload, compute)
+    return [RobustnessPoint.from_payload(record) for record in records]
 
 
 def run_chaos_matrix(
@@ -624,37 +445,13 @@ def run_chaos_matrix(
     Every cell replays a defended refined-DoS episode with one scenario of
     :func:`repro.faults.default_fault_suite` installed between the sampler
     and the guard (the always-included ``"none"`` scenario is the fault-free
-    comparator).  The per-mesh pipeline training and its cache entry are
-    shared with :func:`run_robustness_matrix` — only the episodes are new.
+    comparator).  The per-mesh pipeline and its cache entry are shared with
+    :func:`run_robustness_matrix`.
     """
-    attack_names = tuple(attacks) if attacks is not None else tuple(ATTACK_LIBRARY)
-    for name in attack_names:
-        if name not in ATTACK_LIBRARY:
-            raise KeyError(f"unknown attack variant {name!r}")
-    if evidence is True:
-        evidence = EvidenceConfig()
+    attack_names, evidence, experiments, suites = _matrix_plan(
+        attacks, rows_values, config, fir, colluding_fir, evidence
+    )
     engine = engine or ExperimentEngine.from_environment()
-    experiments = {
-        rows: (
-            config.scaled(rows=rows)
-            if config is not None
-            else ExperimentConfig.for_mesh(rows)
-        )
-        for rows in rows_values
-    }
-    suites = {
-        rows: {
-            name: default_attack(
-                name,
-                experiment.dataset_config().topology(),
-                experiment.sample_period,
-                fir=fir,
-                colluding_fir=colluding_fir,
-            )
-            for name in attack_names
-        }
-        for rows, experiment in experiments.items()
-    }
     # Fault scenarios are topology-dependent (the silent/stuck node picks
     # depend on the mesh), so each mesh scale gets its own suite.  The
     # canonical link kill lands three sampling windows into the attack:
@@ -693,138 +490,69 @@ def run_chaos_matrix(
         "evidence": evidence,
         "dtype": default_dtype(),
     }
-    records = engine.cached_records(
-        "chaos-matrix",
-        payload,
-        lambda: [
-            point.to_payload()
-            for point in _compute_chaos_points(
-                attack_names,
-                scenario_names,
-                experiments,
-                suites,
-                fault_suites,
-                policy,
-                benchmark,
-                attack_windows,
-                tuple(training_benchmarks),
-                evidence,
-                engine,
-            )
-        ],
-    )
-    return [ChaosPoint.from_payload(record) for record in records]
 
-
-def _compute_chaos_points(
-    attack_names: tuple[str, ...],
-    scenario_names: tuple[str, ...],
-    experiments: dict[int, ExperimentConfig],
-    suites: dict[int, dict[str, AttackModel]],
-    fault_suites: dict[int, dict[str, FaultScenario]],
-    policy: MitigationPolicy,
-    benchmark: str,
-    attack_windows: int,
-    training_benchmarks: tuple[str, ...],
-    evidence: EvidenceConfig | bool,
-    engine: ExperimentEngine,
-) -> list[ChaosPoint]:
-    """Cache-miss path: train per mesh, fan faulted episodes out, assemble."""
-    points: list[ChaosPoint] = []
-    for rows, experiment in experiments.items():
-        fence, builder = train_defense_pipeline(
-            experiment, benchmarks=training_benchmarks, engine=engine
-        )
-        mesh_baseline = baseline_benign_latency(
-            builder, benchmark=benchmark, attack_windows=attack_windows
-        )
-        suite = suites[rows]
-        fault_suite = fault_suites[rows]
-        grid = [
-            (attack_name, scenario_name)
-            for attack_name in attack_names
-            for scenario_name in scenario_names
-        ]
-        tasks = [
-            _RobustnessTask(
-                kind="episode",
-                dataset_config=builder.config,
-                benchmark=benchmark,
-                model=suite[attack_name],
-                attack_windows=attack_windows,
-                policy=policy,
-                evidence=evidence,
-                fence=fence,
-                faults=fault_suite[scenario_name],
-            )
-            for attack_name, scenario_name in grid
-        ]
-        fence_key = sweep_fence_key_payload(experiment, training_benchmarks)
-        cache_keys = [_task_cache_payload(task, fence_key) for task in tasks]
-        cached = [
-            _fetch_task_result(engine, kind, payload) for kind, payload in cache_keys
-        ]
-        missing = [index for index, value in enumerate(cached) if value is None]
-        fresh = engine.runner.map(
-            _run_robustness_task, [tasks[index] for index in missing]
-        )
-        for index, value in zip(missing, fresh):
-            cached[index] = value
-            kind, payload = cache_keys[index]
-            _store_task_result(engine, kind, payload, value)
-        for (attack_name, scenario_name), report in zip(grid, cached):
-            model = suite[attack_name]
-            scenario = fault_suite[scenario_name]
-            topology = builder.topology
-            fault_nodes = tuple(sorted(scenario.affected_nodes(topology)))
-            truth = set(model.containment_nodes)
-            # Count punishments of *fault-only* nodes: a node that is both
-            # faulty and a true attacker is a legitimate fence target.
-            fault_only = set(fault_nodes) - truth
-            contained = (
-                report.time_to_full_containment is not None
-                and not report.collateral_nodes
-            )
-            fault_engagements = sum(
-                sum(1 for node in event.nodes if node in fault_only)
-                for event in report.events
-                if event.kind == "engaged"
-            )
-            fault_convictions = sum(
-                sum(1 for node in event.nodes if node in fault_only)
-                for event in report.events
-                if event.kind == "convicted"
-            )
-            points.append(
-                ChaosPoint(
+    def compute() -> list[dict]:
+        records = []
+        for rows, fence, builder, baseline, fence_key in defended_meshes(
+            experiments.items(), training_benchmarks, benchmark, attack_windows, engine
+        ):
+            grid = [
+                (attack_name, scenario_name)
+                for attack_name in attack_names
+                for scenario_name in scenario_names
+            ]
+            tasks = [
+                EpisodeTask(
+                    kind="chaos-episode",
+                    key={
+                        "attack": suites[rows][attack_name],
+                        "evidence": evidence,
+                        "faults": fault_suites[rows][scenario_name],
+                    },
+                    config=builder.config,
+                    benchmark=benchmark,
+                    attack=suites[rows][attack_name],
+                    attack_windows=attack_windows,
+                    policy=policy,
+                    fence=fence,
+                    evidence=evidence,
+                    faults=fault_suites[rows][scenario_name],
+                )
+                for attack_name, scenario_name in grid
+            ]
+            reports = run_episodes(tasks, engine, fence_key, episode=run_attack_episode)
+            for (attack_name, scenario_name), task, report in zip(grid, tasks, reports):
+                model, scenario = task.attack, task.faults
+                fault_nodes = tuple(sorted(scenario.affected_nodes(builder.topology)))
+                # Count punishments of *fault-only* nodes: a node that is both
+                # faulty and a true attacker is a legitimate fence target.
+                fault_only = set(fault_nodes) - set(model.containment_nodes)
+                fault_actions = {
+                    kind: sum(
+                        sum(1 for node in event.nodes if node in fault_only)
+                        for event in report.events
+                        if event.kind == kind
+                    )
+                    for kind in ("engaged", "convicted")
+                }
+                point = ChaosPoint(
                     attack=attack_name,
                     rows=rows,
                     scenario=scenario_name,
                     policy=policy.name,
                     fault_nodes=fault_nodes,
-                    detected=report.detection_latency is not None,
-                    detection_latency=report.detection_latency,
-                    time_to_mitigation=report.time_to_mitigation,
-                    time_to_full_containment=report.time_to_full_containment,
-                    num_attackers=len(truth),
-                    attackers_fenced=len(truth & report.engaged_nodes),
-                    contained=contained,
-                    collateral_nodes=tuple(sorted(report.collateral_nodes)),
-                    collateral_node_windows=report.collateral_node_windows,
-                    fault_node_engagements=fault_engagements,
-                    fault_node_convictions=fault_convictions,
+                    fault_node_engagements=fault_actions["engaged"],
+                    fault_node_convictions=fault_actions["convicted"],
                     windows_delivered=len(report.windows),
-                    localization_rounds=report.localization_rounds,
-                    reengagements=report.reengagements,
-                    baseline_latency=mesh_baseline,
-                    attack_latency=report.attack_latency(),
-                    mitigated_latency=report.post_mitigation_latency(),
                     fresh_mitigated_latency=report.post_mitigation_fresh_latency(),
-                    recovery_ratio=report.recovery_ratio(mesh_baseline),
-                    fresh_recovery_ratio=report.fresh_recovery_ratio(mesh_baseline),
+                    fresh_recovery_ratio=report.fresh_recovery_ratio(baseline),
                     sample_period=builder.config.sample_period,
                     benchmark=benchmark,
                     description=f"{model.describe()} | faults: {scenario.describe()}",
+                    **_matrix_fields(report, baseline),
                 )
-            )
-    return points
+                records.append(point.to_payload())
+        return records
+
+    records = engine.cached_records("chaos-matrix", payload, compute)
+    return [ChaosPoint.from_payload(record) for record in records]

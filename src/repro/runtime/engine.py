@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -48,6 +48,9 @@ from repro.runtime.parallel import ArrayBundle, ParallelRunner
 from repro.traffic.scenario import AttackScenario, ScenarioGenerator, benchmark_names
 
 __all__ = ["ExperimentEngine", "RunTask", "fence_cache_payload"]
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -372,17 +375,36 @@ class ExperimentEngine:
             include_benign,
             seed,
         )
-        runs: list[ScenarioRun | None] = [
-            self.cache.fetch("scenario-run", task, _load_run) for task in tasks
-        ]
-        missing = [index for index, run in enumerate(runs) if run is None]
-        fresh = self._simulate_missing([tasks[index] for index in missing])
-        for index, run in zip(missing, fresh):
-            runs[index] = run
-            self.cache.store(
-                "scenario-run", tasks[index], lambda d, run=run: _save_run(run, d)
-            )
-        return runs
+        return self.cached_map(
+            tasks,
+            lambda task: ("scenario-run", task),
+            self._simulate_missing,
+            _load_run,
+            _save_run,
+        )
+
+    def cached_map(
+        self,
+        tasks: list[T],
+        entry: Callable[[T], tuple[str, Any]],
+        compute: Callable[[list[T]], list[R]],
+        load: Callable[[Path], R],
+        save: Callable[[R, Path], None],
+    ) -> list[R]:
+        """``compute`` over ``tasks``, with every result cached on its own.
+
+        ``entry`` names a task's (kind, payload) cache entry.  All entries
+        are fetched first; ``compute`` then runs once, on the missing tasks
+        only, and each fresh result is stored.  Results are in task order.
+        """
+        entries = [entry(task) for task in tasks]
+        results = [self.cache.fetch(kind, payload, load) for kind, payload in entries]
+        missing = [index for index, result in enumerate(results) if result is None]
+        for index, result in zip(missing, compute([tasks[i] for i in missing])):
+            results[index] = result
+            kind, payload = entries[index]
+            self.cache.store(kind, payload, lambda d, result=result: save(result, d))
+        return results
 
     def _simulate_missing(self, pending: list[RunTask]) -> list[ScenarioRun]:
         """Simulate the uncached run tasks, episode-batched when possible.

@@ -1,17 +1,20 @@
-"""Per-episode caching of the mitigation sweep (ROADMAP follow-up).
+"""Per-episode caching of the mitigation sweep and the robustness/chaos matrices.
 
-The whole-sweep record was already memoised; these tests pin the finer
-granularity: every (FIR, policy) episode and every unmitigated comparator is
-cached individually, so extending a sweep only simulates the new episodes,
-and a cached episode reproduces its MitigationPoint bit for bit.
+The whole-matrix record is memoised too; these tests pin the finer
+granularity: every guarded episode and every unmitigated comparator is
+cached individually, so extending a sweep or matrix only simulates the new
+episodes, and a cached episode reproduces its row bit for bit.
 """
 
 import math
+
+import pytest
 
 from repro.defense.policy import MitigationPolicy
 from repro.defense.report import DefenseEvent, DefenseReport, WindowRecord
 from repro.experiments import ExperimentConfig
 from repro.experiments.mitigation import run_mitigation_sweep
+from repro.experiments.robustness import run_chaos_matrix, run_robustness_matrix
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.engine import ExperimentEngine
 from repro.runtime.parallel import ParallelRunner
@@ -25,6 +28,66 @@ def _engine(tmp_path) -> ExperimentEngine:
         cache=ArtifactCache(root=tmp_path / "cache", enabled=True),
         runner=ParallelRunner(workers=1),
     )
+
+
+def _sweep(firs):
+    return lambda engine: run_mitigation_sweep(
+        firs=firs,
+        rows_values=(QUICK.rows,),
+        policies=(POLICY,),
+        config=QUICK,
+        engine=engine,
+    )
+
+
+def _robustness(attacks):
+    return lambda engine: run_robustness_matrix(
+        attacks=attacks,
+        rows_values=(QUICK.rows,),
+        config=QUICK,
+        attack_windows=6,
+        engine=engine,
+    )
+
+
+def _chaos(attacks, scenarios):
+    return lambda engine: run_chaos_matrix(
+        attacks=attacks,
+        rows_values=(QUICK.rows,),
+        fault_scenarios=scenarios,
+        config=QUICK,
+        attack_windows=6,
+        engine=engine,
+    )
+
+
+def _row_id(point) -> tuple:
+    return type(point), getattr(point, "attack", None), getattr(point, "fir", None)
+
+
+#: (first call, extended call, cache hits and misses of the extended call,
+#: rows the two calls share).  Every extended call misses its whole-matrix
+#: record and hits the trained-fence entry of the shared mesh.
+EXTENSIONS = {
+    # + one FIR: the shared FIR's comparator and episode hit.
+    "sweep-fir": (_sweep((0.8,)), _sweep((0.8, 0.4)), 3, 3, 1),
+    # + one attack: pulsed's comparator and episode hit, ramping simulates.
+    "robustness-attack": (
+        _robustness(("pulsed",)),
+        _robustness(("pulsed", "ramping")),
+        3,
+        3,
+        1,
+    ),
+    # A chaos matrix after a robustness matrix shares only the pipeline.
+    "chaos-after-robustness": (
+        _robustness(("pulsed",)),
+        _chaos(("pulsed",), ("dropout_silent",)),
+        1,
+        2,
+        0,
+    ),
+}
 
 
 class TestDefenseReportPayload:
@@ -71,34 +134,25 @@ class TestDefenseReportPayload:
 
 
 class TestPerEpisodeCache:
-    def test_extending_firs_reuses_cached_episodes(self, tmp_path):
-        """Changing the FIR set must not re-run the overlapping episodes."""
+    @pytest.mark.parametrize(
+        "first, extended, hits, misses, shared",
+        list(EXTENSIONS.values()),
+        ids=list(EXTENSIONS),
+    )
+    def test_extending_reuses_cached_episodes(
+        self, tmp_path, first, extended, hits, misses, shared
+    ):
+        """Extending a sweep or matrix re-runs none of the overlapping episodes."""
+        first_rows = {
+            _row_id(point): point.to_payload() for point in first(_engine(tmp_path))
+        }
         engine = _engine(tmp_path)
-        first = run_mitigation_sweep(
-            firs=(0.8,),
-            rows_values=(QUICK.rows,),
-            policies=(POLICY,),
-            config=QUICK,
-            engine=engine,
-        )
-        stores_after_first = engine.cache.stats.stores
-        assert stores_after_first > 0
-
-        # A different sweep shape misses the whole-sweep record but must hit
-        # the per-episode entries for the shared FIR.
-        second_engine = _engine(tmp_path)
-        second = run_mitigation_sweep(
-            firs=(0.8, 0.4),
-            rows_values=(QUICK.rows,),
-            policies=(POLICY,),
-            config=QUICK,
-            engine=second_engine,
-        )
-        assert second_engine.cache.stats.hits > 0
-        shared_first = [p for p in first if p.fir == 0.8]
-        shared_second = [p for p in second if p.fir == 0.8]
-        assert [p.to_payload() for p in shared_first] == [
-            p.to_payload() for p in shared_second
+        points = extended(engine)
+        assert (engine.cache.stats.hits, engine.cache.stats.misses) == (hits, misses)
+        common = [point for point in points if _row_id(point) in first_rows]
+        assert len(common) == shared
+        assert [first_rows[_row_id(point)] for point in common] == [
+            point.to_payload() for point in common
         ]
 
     def test_cached_episode_matches_fresh(self, tmp_path):

@@ -17,6 +17,7 @@ from repro.experiments.robustness import (
     DEFAULT_ROBUSTNESS_POLICY,
     RobustnessPoint,
     run_attack_episode,
+    run_chaos_matrix,
     run_robustness_matrix,
     unmitigated_attack_episode_latency,
 )
@@ -100,6 +101,38 @@ class TestRunRobustnessMatrix:
         # Second call is served from the matrix cache, identically.
         again = run_robustness_matrix(**kwargs)
         assert [p.to_payload() for p in again] == [p.to_payload() for p in points]
+
+
+class TestRunChaosMatrix:
+    KWARGS = dict(
+        attacks=("pulsed",),
+        rows_values=(6,),
+        fault_scenarios=("dropout_silent", "link_faults"),
+        config=QUICK,
+        attack_windows=6,
+    )
+
+    def test_quick_scale_end_to_end(self, tmp_path):
+        """A monitor fault and a data-plane fault: rows name their scenario
+        and fault nodes, no fault-only node is punished, and the second call
+        is served from the matrix cache identically."""
+        engine = ExperimentEngine(
+            cache=ArtifactCache(root=tmp_path, enabled=True),
+            runner=ParallelRunner(workers=1),
+        )
+        points = run_chaos_matrix(**self.KWARGS, engine=engine)
+        assert [p.scenario for p in points] == ["dropout_silent", "link_faults"]
+        for point in points:
+            assert point.attack == "pulsed"
+            assert point.fault_nodes
+            assert point.fault_node_engagements == point.fault_node_convictions == 0
+        again = run_chaos_matrix(**self.KWARGS, engine=engine)
+        assert [p.to_payload() for p in again] == [p.to_payload() for p in points]
+
+    def test_unknown_scenario_rejected(self):
+        kwargs = dict(self.KWARGS, fault_scenarios=("cosmic_rays",))
+        with pytest.raises(KeyError):
+            run_chaos_matrix(**kwargs, engine=ExperimentEngine.disabled())
 
 
 def test_guarded_soa_episode_builds_no_packet_objects(
