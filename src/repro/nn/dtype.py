@@ -9,17 +9,14 @@ binarized segmentation masks) are unchanged on the test fixtures — the
 documented tolerance is ~1e-5 on raw probabilities for weight-equivalent
 models.
 
-The default dtype is ``float32`` and can be overridden with the
-``REPRO_NN_DTYPE`` environment variable (``float32`` / ``float64``) or at
-runtime with :func:`set_default_dtype` / the :func:`use_dtype` context
-manager.  A :class:`~repro.nn.model.Sequential` model captures the default at
+The default dtype is ``float32`` and can be overridden at runtime with
+:func:`set_default_dtype` / the :func:`use_dtype` context manager.  A :class:`~repro.nn.model.Sequential` model captures the default at
 build time and keeps computing in that dtype afterwards, so changing the
 global default never silently re-types an existing model.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -45,18 +42,11 @@ def resolve_dtype(spec: str | np.dtype | type | None) -> np.dtype:
     return _SUPPORTED[name]
 
 
-def _from_environment() -> np.dtype:
-    raw = os.environ.get("REPRO_NN_DTYPE", "").strip().lower()
-    if raw in _SUPPORTED:
-        return _SUPPORTED[raw]
-    return _SUPPORTED["float32"]
-
-
-_default: np.dtype = _from_environment()
+_default: np.dtype = _SUPPORTED["float32"]
 
 
 def default_dtype() -> np.dtype:
-    """The dtype new models are built with (env-seeded, runtime-overridable)."""
+    """The dtype new models are built with (runtime-overridable)."""
     return _default
 
 

@@ -80,31 +80,9 @@ def build_network(
     vc_depth: int = 4,
     injection_bandwidth: int = 1,
     source_queue_capacity: int = 512,
-    episodes: int = 1,
 ) -> MeshNetwork | SoAMeshNetwork:
-    """Instantiate the selected mesh-network backend.
-
-    ``episodes > 1`` selects the episode-batched SoA mode: one
-    :class:`repro.noc.soa_batch.BatchedSoAMeshNetwork` advancing that many
-    independent mesh copies per kernel dispatch (only the ``soa`` backend
-    supports it — the object model has no batch axis).
-    """
+    """Instantiate the selected solo mesh-network backend."""
     name = resolve_backend(backend)
-    if episodes > 1:
-        if name != "soa":
-            raise ValueError(
-                f"episode batching requires the 'soa' backend, not {name!r}"
-            )
-        from repro.noc.soa_batch import BatchedSoAMeshNetwork
-
-        return BatchedSoAMeshNetwork(
-            topology,
-            episodes,
-            num_vcs=num_vcs,
-            vc_depth=vc_depth,
-            injection_bandwidth=injection_bandwidth,
-            source_queue_capacity=source_queue_capacity,
-        )
     network_cls = SoAMeshNetwork if name == "soa" else MeshNetwork
     return network_cls(
         topology,

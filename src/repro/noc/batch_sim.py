@@ -2,12 +2,19 @@
 
 :class:`BatchedNoCSimulator` advances N independent simulation episodes —
 each with its own traffic sources, observers and defense hooks — with one
-kernel dispatch per cycle.  Each episode is wired through a
-:class:`LaneSimulator`, a view that exposes the :class:`NoCSimulator`
-surface (``add_source`` / ``add_observer`` / ``network`` / ``stats`` /
-throttle hooks) so existing consumers — the global performance monitor, the
-dataset builder, the defense guard — attach to a lane exactly as they would
-to a solo simulator.
+kernel dispatch per cycle.  It shares the data-fault schedule of
+:class:`~repro.noc.simulator.NoCSimulator`
+(:class:`~repro.noc.simulator.DataFaultSchedule`); a fault hits every
+episode alike.
+
+Each episode is wired through a :class:`LaneSimulator`, which serves the
+same per-episode surface as a solo simulator
+(:class:`~repro.noc.simulator.EpisodeHooks`: observers, throttle hooks,
+``stats``, ``latency``) over its :class:`~repro.noc.soa_batch.SoAMeshLane`,
+so the global performance monitor, the dataset builder and the defense
+guard attach to a lane exactly as they would to a solo simulator.  A lane
+holds its parent weakly and the parent's network builds lane views on
+demand, so a dropped batch is freed without the cyclic garbage collector.
 
 Ingress is grouped: each cycle, the batch-capable sources at the same
 source *position* across lanes are drained together and handed to
@@ -21,21 +28,24 @@ streams are identical per episode to a solo run with the same seeds
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 import numpy as np
 
 from repro.noc.backend import resolve_backend
-from repro.noc.route_provider import RouteProvider
-from repro.noc.simulator import SimulationConfig, TrafficSource
+from repro.noc.simulator import (
+    DataFaultSchedule,
+    EpisodeHooks,
+    SimulationConfig,
+    TrafficSource,
+)
 from repro.noc.soa_batch import BatchedSoAMeshNetwork, SoAMeshLane
-from repro.noc.stats import LatencyStats
-from repro.obs.bus import BUS
 
 __all__ = ["BatchedNoCSimulator", "LaneSimulator"]
 
 
-class LaneSimulator:
+class LaneSimulator(EpisodeHooks):
     """The ``NoCSimulator``-facing view of one episode of a batched run.
 
     Holds the episode's traffic sources and observers; the parent
@@ -45,7 +55,7 @@ class LaneSimulator:
     """
 
     def __init__(self, parent: "BatchedNoCSimulator", index: int) -> None:
-        self._parent = parent
+        self._parent = weakref.proxy(parent)
         self.lane_index = index
         self.config = parent.config
         self.topology = parent.topology
@@ -58,40 +68,9 @@ class LaneSimulator:
     def cycle(self) -> int:
         return self._parent.cycle
 
-    # -- wiring ------------------------------------------------------------
     def add_source(self, source: TrafficSource) -> None:
         """Attach a traffic source to this episode."""
         self.sources.append(source)
-
-    def add_observer(
-        self, period: int, callback: Callable[["LaneSimulator"], None]
-    ) -> None:
-        """Call ``callback(self)`` every ``period`` cycles after warmup."""
-        if period <= 0:
-            raise ValueError("observer period must be positive")
-        self._observers.append((period, callback))
-
-    # -- runtime defense hooks ---------------------------------------------
-    def throttle_node(self, node_id: int, fraction: float) -> None:
-        self.network.set_injection_limit(node_id, fraction)
-
-    def quarantine_node(self, node_id: int) -> None:
-        self.network.set_injection_limit(node_id, 0.0)
-
-    def release_node(self, node_id: int) -> None:
-        self.network.set_injection_limit(node_id, 1.0)
-
-    @property
-    def restricted_nodes(self) -> list[int]:
-        return self.network.restricted_nodes
-
-    # -- results -----------------------------------------------------------
-    @property
-    def stats(self):
-        return self.network.stats
-
-    def latency(self, benign_only: bool = True) -> LatencyStats:
-        return self.network.stats.latency(benign_only=benign_only)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -100,7 +79,7 @@ class LaneSimulator:
         )
 
 
-class BatchedNoCSimulator:
+class BatchedNoCSimulator(DataFaultSchedule):
     """Drives N independent episodes with one kernel dispatch per cycle."""
 
     def __init__(
@@ -117,9 +96,6 @@ class BatchedNoCSimulator:
             )
         self.topology = self.config.topology()
         self.episodes = int(episodes)
-        # Constructed directly rather than via build_network(): episodes=1
-        # must still yield a batched network here (the N=1 equivalence pin),
-        # while build_network keeps returning the plain solo backend for it.
         self.network = BatchedSoAMeshNetwork(
             self.topology,
             self.episodes,
@@ -132,89 +108,11 @@ class BatchedNoCSimulator:
             LaneSimulator(self, index) for index in range(self.episodes)
         ]
         self.cycle = 0
-        self._pending_data_faults: list[tuple[int, tuple, tuple]] = []
-        self._dead_links: set = set()
-        self._dead_routers: set = set()
+        self._init_fault_schedule()
 
     def lane(self, index: int) -> LaneSimulator:
         """The per-episode simulator view of episode ``index``."""
         return self.lanes[index]
-
-    # -- data-plane fault hooks ----------------------------------------------
-    def schedule_data_fault(
-        self, cycle: int, dead_links=(), dead_routers=()
-    ) -> None:
-        """Kill links/routers at the start of ``cycle`` — in *every* episode.
-
-        Mirrors :meth:`NoCSimulator.schedule_data_fault`; the batched
-        network applies the same degraded route tables to each episode
-        block, so a lane stays fingerprint-identical to a solo run with the
-        same fault schedule.
-        """
-        if cycle < self.cycle:
-            raise ValueError(
-                f"cannot schedule a fault at past cycle {cycle} "
-                f"(current cycle {self.cycle})"
-            )
-        self._pending_data_faults.append(
-            (cycle, tuple(dead_links), tuple(dead_routers))
-        )
-        self._pending_data_faults.sort(key=lambda item: item[0])
-
-    def inject_data_fault(self, dead_links=(), dead_routers=()) -> int:
-        """Apply a link/router kill to every episode immediately."""
-        self._dead_links.update(
-            (int(node), direction) for node, direction in dead_links
-        )
-        self._dead_routers.update(int(node) for node in dead_routers)
-        provider = RouteProvider(
-            self.topology,
-            dead_links=tuple(self._dead_links),
-            dead_routers=tuple(self._dead_routers),
-        )
-        excised = self.network.apply_data_faults(provider)
-        if BUS.active:
-            BUS.emit(
-                "fault_activated",
-                cycle=self.cycle,
-                dead_links=sorted(
-                    [int(node), direction.name]
-                    for node, direction in provider.dead_links
-                ),
-                dead_routers=sorted(int(n) for n in provider.dead_routers),
-                excised=int(excised),
-            )
-        return excised
-
-    @property
-    def route_provider(self):
-        """Active fault-aware route provider (None on a healthy mesh)."""
-        return self.network.route_provider
-
-    @property
-    def dead_links(self) -> frozenset:
-        """Directed dead links of the active fault set (normalized)."""
-        provider = self.network.route_provider
-        return provider.dead_links if provider is not None else frozenset()
-
-    @property
-    def dead_routers(self) -> frozenset:
-        """Dead routers of the active fault set."""
-        provider = self.network.route_provider
-        return provider.dead_routers if provider is not None else frozenset()
-
-    def _activate_due_faults(self, cycle: int) -> None:
-        pending = self._pending_data_faults
-        due = [fault for fault in pending if fault[0] <= cycle]
-        if not due:
-            return
-        self._pending_data_faults = [f for f in pending if f[0] > cycle]
-        links: list = []
-        routers: list = []
-        for _, dead_links, dead_routers in due:
-            links.extend(dead_links)
-            routers.extend(dead_routers)
-        self.inject_data_fault(dead_links=links, dead_routers=routers)
 
     # -- execution ----------------------------------------------------------
     def step(self) -> None:
@@ -250,11 +148,10 @@ class BatchedNoCSimulator:
         cross-lane :meth:`BatchedSoAMeshNetwork.enqueue_group` sweep;
         per-packet sources fall back to the lane's scalar enqueue.
         """
-        network = self.network
         max_sources = max((len(lane.sources) for lane in self.lanes), default=0)
         for position in range(max_sources):
-            groups: dict[tuple[int, bool], list[tuple[int, np.ndarray, np.ndarray]]]
-            groups = {}
+            # (size_flits, malicious) -> [(lane, sources, destinations)]
+            groups: dict[tuple[int, bool], list] = {}
             for lane in self.lanes:
                 if position >= len(lane.sources):
                     continue
@@ -269,24 +166,24 @@ class BatchedNoCSimulator:
                     continue
                 sources, destinations, size_flits, malicious = batch
                 groups.setdefault((int(size_flits), bool(malicious)), []).append(
-                    (lane.lane_index, np.asarray(sources), np.asarray(destinations))
+                    (lane, np.asarray(sources), np.asarray(destinations))
                 )
             for (size_flits, malicious), entries in groups.items():
                 if len(entries) == 1:
-                    index, sources, destinations = entries[0]
-                    network.lane(index).enqueue_batch(
+                    lane, sources, destinations = entries[0]
+                    lane.network.enqueue_batch(
                         sources, destinations, size_flits, cycle, malicious
                     )
                     continue
                 lane_ids = np.concatenate(
                     [
-                        np.full(sources.size, index, dtype=np.int64)
-                        for index, sources, _ in entries
+                        np.full(sources.size, lane.lane_index, dtype=np.int64)
+                        for lane, sources, _ in entries
                     ]
                 )
                 all_sources = np.concatenate([s for _, s, _ in entries])
                 all_destinations = np.concatenate([d for _, _, d in entries])
-                network.enqueue_group(
+                self.network.enqueue_group(
                     lane_ids, all_sources, all_destinations, size_flits, cycle, malicious
                 )
 

@@ -253,6 +253,7 @@ class MeshNetwork:
 
     def injection_limit(self, node_id: int) -> float:
         """Current injection limit of ``node_id`` (1.0 = unrestricted)."""
+        self.topology._check_node(node_id)
         return self.injection_limits[node_id]
 
     def flush_source_queue(self, node_id: int) -> int:
@@ -264,6 +265,7 @@ class MeshNetwork:
         them would strand a headless worm inside the routers.  Returns the
         number of flits discarded; fully dropped packets count as drops.
         """
+        self.topology._check_node(node_id)
         queue = self.source_queues[node_id]
         kept = [flit for flit in queue if flit.packet.injected_cycle is not None]
         dropped_flits = len(queue) - len(kept)

@@ -19,7 +19,13 @@ from repro.noc.stats import LatencyStats
 from repro.noc.topology import MeshTopology
 from repro.obs.bus import BUS
 
-__all__ = ["SimulationConfig", "NoCSimulator", "TrafficSource"]
+__all__ = [
+    "DataFaultSchedule",
+    "EpisodeHooks",
+    "NoCSimulator",
+    "SimulationConfig",
+    "TrafficSource",
+]
 
 
 class TrafficSource(Protocol):
@@ -72,65 +78,15 @@ class SimulationConfig:
         return MeshTopology(rows=self.rows, columns=self.columns)
 
 
-class NoCSimulator:
-    """Drives a :class:`MeshNetwork` with one or more traffic sources."""
+class EpisodeHooks:
+    """Observers, defense hooks and results of one simulated episode.
 
-    def __init__(self, config: SimulationConfig | None = None) -> None:
-        self.config = config or SimulationConfig()
-        self.topology = self.config.topology()
-        self.backend = resolve_backend(self.config.backend)
-        self.network = build_network(
-            self.topology,
-            backend=self.backend,
-            num_vcs=self.config.num_vcs,
-            vc_depth=self.config.vc_depth,
-            injection_bandwidth=self.config.injection_bandwidth,
-            source_queue_capacity=self.config.source_queue_capacity,
-        )
-        # Array ingress: when both the source and the backend support batch
-        # transfer, one vectorized hand-off per source replaces the
-        # per-packet enqueue loop (same packets, same RNG stream).
-        self._batch_ingress = hasattr(self.network, "enqueue_batch")
-        self.sources = ()
-        self.cycle = 0
-        self._observers: list[tuple[int, Callable[["NoCSimulator"], None]]] = []
-        # Data-plane faults: scheduled (cycle, dead_links, dead_routers)
-        # activations plus the accumulated fault set already applied.
-        self._pending_data_faults: list[tuple[int, tuple, tuple]] = []
-        self._dead_links: set = set()
-        self._dead_routers: set = set()
+    Shared by :class:`NoCSimulator` and the per-episode
+    :class:`repro.noc.batch_sim.LaneSimulator`; both provide ``network``
+    (the episode's ``MeshNetwork``-facing surface) and ``_observers``.
+    """
 
-    # -- wiring ------------------------------------------------------------
-    @property
-    def sources(self) -> tuple[TrafficSource, ...]:
-        """Attached traffic sources, in per-cycle emission order.
-
-        Read-only: attach with :meth:`add_source` or assign a whole new
-        sequence, so the per-cycle emitters stay in step with the sources.
-        """
-        return tuple(self._sources)
-
-    @sources.setter
-    def sources(self, sources) -> None:
-        self._sources = list(sources)
-        self._emitters = [self._emitter(source) for source in self._sources]
-
-    def _emitter(self, source: TrafficSource):
-        """``(batch_fn, packets_fn)`` of one source, resolved once when it is
-        attached: array ingress when both the source and the backend
-        support it, else the per-packet path."""
-        if self._batch_ingress:
-            batch_fn = getattr(source, "packet_batch_for_cycle", None)
-            if batch_fn is not None:
-                return batch_fn, None
-        return None, source.packets_for_cycle
-
-    def add_source(self, source: TrafficSource) -> None:
-        """Attach a traffic source (benign workload or attacker)."""
-        self._sources.append(source)
-        self._emitters.append(self._emitter(source))
-
-    def add_observer(self, period: int, callback: Callable[["NoCSimulator"], None]) -> None:
+    def add_observer(self, period: int, callback: Callable) -> None:
         """Call ``callback(self)`` every ``period`` cycles after warmup."""
         if period <= 0:
             raise ValueError("observer period must be positive")
@@ -159,7 +115,33 @@ class NoCSimulator:
         """Nodes currently throttled or quarantined."""
         return self.network.restricted_nodes
 
-    # -- data-plane fault hooks ------------------------------------------------
+    # -- results ---------------------------------------------------------------
+    @property
+    def stats(self):
+        """Network-level counters (delivered packets, drops, etc.)."""
+        return self.network.stats
+
+    def latency(self, benign_only: bool = True) -> LatencyStats:
+        """Latency statistics over delivered packets (benign-only by default)."""
+        return self.network.stats.latency(benign_only=benign_only)
+
+
+class DataFaultSchedule:
+    """Scheduled and immediate data-plane faults of one simulated network.
+
+    Shared by :class:`NoCSimulator` and
+    :class:`repro.noc.batch_sim.BatchedNoCSimulator`, where a fault hits
+    every episode of the batch alike.  Both provide ``topology``,
+    ``network`` and ``cycle``.
+    """
+
+    def _init_fault_schedule(self) -> None:
+        # Scheduled (cycle, dead_links, dead_routers) activations plus the
+        # accumulated fault set already applied.
+        self._pending_data_faults: list[tuple[int, tuple, tuple]] = []
+        self._dead_links: set = set()
+        self._dead_routers: set = set()
+
     def schedule_data_fault(
         self, cycle: int, dead_links=(), dead_routers=()
     ) -> None:
@@ -240,6 +222,61 @@ class NoCSimulator:
             routers.extend(dead_routers)
         self.inject_data_fault(dead_links=links, dead_routers=routers)
 
+
+class NoCSimulator(EpisodeHooks, DataFaultSchedule):
+    """Drives a :class:`MeshNetwork` with one or more traffic sources."""
+
+    def __init__(self, config: SimulationConfig | None = None) -> None:
+        self.config = config or SimulationConfig()
+        self.topology = self.config.topology()
+        self.backend = resolve_backend(self.config.backend)
+        self.network = build_network(
+            self.topology,
+            backend=self.backend,
+            num_vcs=self.config.num_vcs,
+            vc_depth=self.config.vc_depth,
+            injection_bandwidth=self.config.injection_bandwidth,
+            source_queue_capacity=self.config.source_queue_capacity,
+        )
+        # Array ingress: when both the source and the backend support batch
+        # transfer, one vectorized hand-off per source replaces the
+        # per-packet enqueue loop (same packets, same RNG stream).
+        self._batch_ingress = hasattr(self.network, "enqueue_batch")
+        self.sources = ()
+        self.cycle = 0
+        self._observers: list[tuple[int, Callable[["NoCSimulator"], None]]] = []
+        self._init_fault_schedule()
+
+    # -- wiring ------------------------------------------------------------
+    @property
+    def sources(self) -> tuple[TrafficSource, ...]:
+        """Attached traffic sources, in per-cycle emission order.
+
+        Read-only: attach with :meth:`add_source` or assign a whole new
+        sequence, so the per-cycle emitters stay in step with the sources.
+        """
+        return tuple(self._sources)
+
+    @sources.setter
+    def sources(self, sources) -> None:
+        self._sources = list(sources)
+        self._emitters = [self._emitter(source) for source in self._sources]
+
+    def _emitter(self, source: TrafficSource):
+        """``(batch_fn, packets_fn)`` of one source, resolved once when it is
+        attached: array ingress when both the source and the backend
+        support it, else the per-packet path."""
+        if self._batch_ingress:
+            batch_fn = getattr(source, "packet_batch_for_cycle", None)
+            if batch_fn is not None:
+                return batch_fn, None
+        return None, source.packets_for_cycle
+
+    def add_source(self, source: TrafficSource) -> None:
+        """Attach a traffic source (benign workload or attacker)."""
+        self._sources.append(source)
+        self._emitters.append(self._emitter(source))
+
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
         """Advance the simulation by a single cycle."""
@@ -294,16 +331,6 @@ class NoCSimulator:
         finally:
             self.sources = saved_sources
         return extra
-
-    # -- results ---------------------------------------------------------------
-    @property
-    def stats(self):
-        """Network-level counters (delivered packets, drops, etc.)."""
-        return self.network.stats
-
-    def latency(self, benign_only: bool = True) -> LatencyStats:
-        """Latency statistics over delivered packets (benign-only by default)."""
-        return self.network.stats.latency(benign_only=benign_only)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -5,12 +5,19 @@
 NumPy arrays — per-VC ring buffers of packed flit words, per-port
 occupancy/BOC counters, per-node source-queue rings, injection credits and
 a precomputed XY next-hop table — updated by the vectorized kernels of
-:mod:`repro.noc.soa_step`.  It exposes the same ``MeshNetwork``-facing
-surface the monitor and defense layers use (``enqueue_packet``, ``step``,
-``set_injection_limit`` / ``flush_source_queue``, stats, frame counters) and
-is pinned behavior-fingerprint-identical to the object backend: the same
-seeds produce the same feature frames and the same
-``DefenseReport.as_dict()``.
+:mod:`repro.noc.soa_step`.  It is pinned behavior-fingerprint-identical to
+the object backend: the same seeds produce the same feature frames and the
+same ``DefenseReport.as_dict()``.
+
+The arrays may hold several episodes side by side (the batched subclass of
+:mod:`repro.noc.soa_batch`), so the ``MeshNetwork``-facing surface the
+monitor and defense layers use — stats, injection limits and
+``flush_source_queue``, feature frames and BOC counters, queued and
+in-flight flits, source queues and router views — is written once, in
+:class:`EpisodeSurface`, against one episode's block of the arrays.  A
+solo network serves it as episode 0; a batch lane serves it as episode
+``k``.  Only ingress (``enqueue_packet`` / ``enqueue_batch``) stays defined
+per class.
 
 Packets are rows of a columnar :class:`PacketRegistry` (source, destination,
 size, creation/injection/ejection cycle, malicious flag, episode) plus a
@@ -62,7 +69,13 @@ from repro.noc.stats import DeliveredView, NetworkStats
 from repro.noc.topology import Direction, MeshTopology
 from repro.obs.metrics import METRICS, sim_phase_histogram
 
-__all__ = ["SoAMeshNetwork", "PacketRegistry", "DIRECTION_INDEX", "mesh_tables"]
+__all__ = [
+    "DIRECTION_INDEX",
+    "EpisodeSurface",
+    "PacketRegistry",
+    "SoAMeshNetwork",
+    "mesh_tables",
+]
 
 #: Fixed direction→axis-index mapping of every per-port array: the LOCAL
 #: port first, then the paper's E, N, W, S cardinal order.
@@ -275,12 +288,243 @@ def _vc_tables(topology: MeshTopology, num_vcs: int) -> _VcTables:
     return built
 
 
-class SoAMeshNetwork:
-    """A 2-D mesh with XY wormhole switching on flat NumPy state arrays."""
+class EpisodeSurface:
+    """The ``MeshNetwork``-facing surface of one episode block of SoA state.
+
+    Every per-episode method is written once here, against three names:
+    ``_net``, the network owning the state arrays; ``lane_index``, the
+    episode's row of the count table; and ``_off``, its first array node
+    (episode-local node ``i`` is array node ``_off + i``).
+    :class:`SoAMeshNetwork` serves this surface as episode 0 of its own
+    arrays; :class:`repro.noc.soa_batch.SoAMeshLane` serves episode ``k``
+    of a batched network.  Node ids are checked against the episode's
+    topology, so no call can reach into another episode's block.
+    """
+
+    topology: MeshTopology
+    lane_index: int
+    _off: int
+
+    def _block(self, width: int = 1) -> slice:
+        """The episode's slice of an array holding ``width`` entries per node."""
+        return slice(self._off * width, (self._off + self.topology.num_nodes) * width)
+
+    # -- results --------------------------------------------------------------
+    @property
+    def stats(self) -> NetworkStats:
+        """Counters and delivered packets of the episode.
+
+        Counters are live; the delivered ``Packet`` list is built on first
+        read (see :class:`_RegistryStats`), so counter reads stay O(1).
+        """
+        return self._net._lane_stats[self.lane_index]
+
+    @property
+    def dropped_packets(self) -> int:
+        """Packets dropped at ingress, by a flush or as unroutable."""
+        return int(self._net._counts[self.lane_index, CNT_DROPPED])
+
+    @property
+    def unroutable_packets(self) -> int:
+        """Never-injected packets dropped because no route could exist."""
+        return int(self._net._counts[self.lane_index, CNT_UNROUTABLE])
+
+    @property
+    def route_provider(self):
+        """The active fault-aware route provider (None on a healthy mesh);
+        one provider serves every episode of a batch."""
+        return self._net._route_provider
+
+    # -- injection rate limiting (defense hooks) ------------------------------
+    def set_injection_limit(self, node_id: int, fraction: float) -> None:
+        """Restrict ``node_id`` to ``fraction`` of the injection bandwidth."""
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError("injection limit must be in [0, 1]")
+        if node_id not in self.topology:
+            raise ValueError(f"node {node_id} outside the {self.topology!r} mesh")
+        net = self._net
+        node = self._off + node_id
+        net._limits[node] = float(fraction)
+        # Changing the limit restarts the credit accumulator: credit accrued
+        # under an older, looser limit must not leak through a quarantine.
+        net._allowance[node] = 0.0
+        net._limited_idx = np.nonzero(net._limits < 1.0)[0]
+
+    def injection_limit(self, node_id: int) -> float:
+        """Current injection limit of ``node_id`` (1.0 = unrestricted)."""
+        self.topology._check_node(node_id)
+        return float(self._net._limits[self._off + node_id])
+
+    @property
+    def injection_limits(self) -> list[float]:
+        """Per-node injection limits (list view, like the object backend)."""
+        return self._net._limits[self._block()].tolist()
+
+    def reset_injection_limits(self) -> None:
+        """Lift every injection restriction (full rollback)."""
+        net, block = self._net, self._block()
+        net._limits[block] = 1.0
+        net._allowance[block] = 0.0
+        net._limited_idx = np.nonzero(net._limits < 1.0)[0]
+
+    @property
+    def restricted_nodes(self) -> list[int]:
+        """Nodes currently running under an injection limit below 1.0."""
+        limits = self._net._limits[self._block()]
+        return [int(node) for node in np.nonzero(limits < 1.0)[0]]
+
+    def flush_source_queue(self, node_id: int) -> int:
+        """Discard not-yet-injected flits queued at ``node_id``'s interface.
+
+        Flits of packets whose head already entered the network are kept so
+        no headless worm is stranded inside the routers; fully dropped
+        packets count as drops.  Returns the number of flits discarded.
+        """
+        self.topology._check_node(node_id)
+        net = self._net
+        node = self._off + node_id
+        count = int(net._sq_count[node])
+        if count == 0:
+            return 0
+        slots = (net._sq_head[node] + np.arange(count)) % net.source_queue_capacity
+        values = net._sq_vals[node, slots]
+        pkts = values >> PKT_SHIFT
+        keep = net._registry.table[COL_INJECTED, pkts] >= 0
+        kept = int(keep.sum())
+        dropped = np.unique(pkts[~keep])
+        net._registry.forget(dropped)
+        net._counts[self.lane_index, CNT_DROPPED] += int(dropped.size)
+        net._sq_head[node] = 0
+        net._sq_count[node] = kept
+        if kept:
+            net._sq_vals[node, :kept] = values[keep]
+        return count - kept
+
+    # -- DL2Fence observables -------------------------------------------------
+    def feature_frame(self, direction: Direction, kind) -> np.ndarray:
+        """One directional feature frame, read straight off the counters."""
+        return self.feature_frames(kind)[direction]
+
+    def feature_frames(self, kind) -> dict[Direction, np.ndarray]:
+        """All four directional frames of one feature, no router walk.
+
+        The episode's per-port counters are sliced into the natural
+        directional geometries (east-most columns lack EAST input ports,
+        etc.), exactly matching
+        :func:`repro.monitor.features.extract_feature_frames` on the object
+        backend.
+        """
+        from repro.monitor.features import FeatureKind
+
+        net = self._net
+        ports = self._block(5)
+        rows, cols = self.topology.rows, self.topology.columns
+        if kind is FeatureKind.VCO:
+            samples = net._window_samples(self.lane_index)
+            if samples == 0:
+                values = net._occupied[ports] / float(net.num_vcs)
+            elif net._occ_exact:
+                values = (net._occ_sum_int[ports] / float(net.num_vcs)) / samples
+            else:
+                values = net._occ_sum[ports] / samples
+        else:
+            values = (net._buf_writes[ports] + net._buf_reads[ports]).astype(np.float64)
+        grid = values.reshape(self.topology.num_nodes, 5)
+
+        def plane(direction: Direction) -> np.ndarray:
+            return grid[:, DIRECTION_INDEX[direction]].reshape(rows, cols)
+
+        return {
+            Direction.EAST: plane(Direction.EAST)[:, : cols - 1].copy(),
+            Direction.NORTH: plane(Direction.NORTH)[: rows - 1, :].copy(),
+            Direction.WEST: plane(Direction.WEST)[:, 1:].copy(),
+            Direction.SOUTH: plane(Direction.SOUTH)[1:, :].copy(),
+        }
+
+    def reset_boc_counters(self) -> None:
+        """Reset every port's BOC and VCO accumulators (window boundary)."""
+        net = self._net
+        ports = self._block(5)
+        net._buf_writes[ports] = 0
+        net._buf_reads[ports] = 0
+        net._occ_sum_int[ports] = 0
+        net._occ_sum[ports] = 0.0
+        net._window_start[self.lane_index] = net._steps
+
+    def local_boc(self) -> list[int]:
+        """Per-node LOCAL-slot BOC this window (see MeshNetwork.local_boc)."""
+        net = self._net
+        ports = self._block(5)
+        grid = (net._buf_writes[ports] + net._buf_reads[ports]).reshape(
+            self.topology.num_nodes, 5
+        )
+        return [int(value) for value in grid[:, 0]]
+
+    # -- bookkeeping ----------------------------------------------------------
+    @property
+    def in_flight_flits(self) -> int:
+        """Flits buffered anywhere in the network (excluding source queues)."""
+        net = self._net
+        return int(net._vc_count[self._block(5 * net.num_vcs)].sum())
+
+    @property
+    def queued_flits(self) -> int:
+        """Flits still waiting in source injection queues."""
+        return int(self._net._sq_count[self._block()].sum())
+
+    @property
+    def drainable_queued_flits(self) -> int:
+        """Queued flits that can still legally enter the network.
+
+        Excludes new packets queued at quarantined nodes — by policy that
+        backlog can never inject (continuation flits of partially injected
+        packets still count, mirroring the injection gate).
+        """
+        net = self._net
+        injected = net._registry.table[COL_INJECTED]
+        backlog = np.nonzero(net._sq_count[self._block()] > 0)[0]
+        total = 0
+        for node in (self._off + backlog).tolist():
+            count = int(net._sq_count[node])
+            if net._limits[node] > 0.0:
+                total += count
+                continue
+            slots = (net._sq_head[node] + np.arange(count)) % net.source_queue_capacity
+            pkts = net._sq_vals[node, slots] >> PKT_SHIFT
+            total += int((injected[pkts] >= 0).sum())
+        return total
+
+    # -- object-backend compatibility views -----------------------------------
+    @property
+    def source_queues(self) -> "_SourceQueuesView":
+        """Length-reporting view of the episode's per-node source queues."""
+        return _SourceQueuesView(self._net, self._off, self.topology.num_nodes)
+
+    def router(self, node_id: int) -> "SoARouterView":
+        """Read-only router view (VCO/BOC observables of one node)."""
+        self.topology._check_node(node_id)
+        return SoARouterView(self._net, self._off + int(node_id))
+
+    @property
+    def routers(self) -> list["SoARouterView"]:
+        """Read-only router views in node order."""
+        net, first = self._net, self._off
+        return [SoARouterView(net, first + node) for node in self.topology.nodes()]
+
+
+class SoAMeshNetwork(EpisodeSurface):
+    """A 2-D mesh with XY wormhole switching on flat NumPy state arrays.
+
+    The network owns the state arrays and serves the per-episode surface of
+    :class:`EpisodeSurface` as episode 0 of them.
+    """
 
     backend_name = "soa"
     #: Episode blocks in the state arrays (the batched subclass has more).
     episodes = 1
+    #: The per-episode surface: episode 0, starting at array node 0.
+    lane_index = 0
+    _off = 0
 
     def __init__(
         self,
@@ -362,7 +606,10 @@ class SoAMeshNetwork:
         self._occ_sum_int = np.zeros(num_ports, dtype=np.int64)
         self._occ_sum = np.zeros(num_ports, dtype=np.float64)
         self._occ_tmp = np.empty(num_ports, dtype=np.float64)
-        self._occ_samples = 0
+        # Cycles stepped, and the step count at each episode's last window
+        # reset (see _window_samples).
+        self._steps = 0
+        self._window_start = [0] * self.episodes
 
         # Per-router ejection counters.
         self._flits_ejected = np.zeros(num_nodes, dtype=np.int64)
@@ -421,12 +668,17 @@ class SoAMeshNetwork:
         self._q_slot_off = None
         self._array_nodes = self.topology.num_nodes
 
-    # -- data-plane faults (dead links / routers) ----------------------------
     @property
-    def route_provider(self):
-        """The active fault-aware route provider (None on a healthy mesh)."""
-        return self._route_provider
+    def _net(self) -> "SoAMeshNetwork":
+        """The array owner of the episode surface: this network itself."""
+        return self
 
+    def _window_samples(self, lane: int) -> int:
+        """Cycles stepped since episode ``lane`` last reset its window: the
+        sample count of its windowed VCO average."""
+        return self._steps - self._window_start[lane]
+
+    # -- data-plane faults (dead links / routers) ----------------------------
     def apply_data_faults(self, provider) -> int:
         """Install a degraded :class:`~repro.noc.route_provider.RouteProvider`.
 
@@ -569,22 +821,6 @@ class SoAMeshNetwork:
         self._counts[lane, CNT_DROPPED] += packets
         self._counts[lane, CNT_UNROUTABLE] += packets
 
-    # -- packet registry views ---------------------------------------------
-    @property
-    def stats(self) -> NetworkStats:
-        """Counters and delivered packets (the solo network's one episode)."""
-        return self._lane_stats[0]
-
-    @property
-    def dropped_packets(self) -> int:
-        """Packets dropped at ingress, by a flush or as unroutable."""
-        return int(self._counts[:, CNT_DROPPED].sum())
-
-    @property
-    def unroutable_packets(self) -> int:
-        """Never-injected packets dropped because no route could exist."""
-        return int(self._counts[:, CNT_UNROUTABLE].sum())
-
     # -- injection interface ------------------------------------------------
     def _enqueue_object(self, lane: int, packet: Packet) -> bool:
         """Queue a caller-built packet of episode ``lane``; the same object
@@ -632,74 +868,13 @@ class SoAMeshNetwork:
             self, 0, sources, destinations, size_flits, cycle, malicious
         )
 
-    # -- injection rate limiting (defense hook) -----------------------------
-    def set_injection_limit(self, node_id: int, fraction: float) -> None:
-        """Restrict ``node_id`` to ``fraction`` of the injection bandwidth."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("injection limit must be in [0, 1]")
-        if node_id not in self.topology:
-            raise ValueError(f"node {node_id} outside the {self.topology!r} mesh")
-        self._limits[node_id] = float(fraction)
-        # Changing the limit restarts the credit accumulator: credit accrued
-        # under an older, looser limit must not leak through a quarantine.
-        self._allowance[node_id] = 0.0
-        self._limited_idx = np.nonzero(self._limits < 1.0)[0]
-
-    def injection_limit(self, node_id: int) -> float:
-        """Current injection limit of ``node_id`` (1.0 = unrestricted)."""
-        return float(self._limits[node_id])
-
-    @property
-    def injection_limits(self) -> list[float]:
-        """Per-node injection limits (list view, like the object backend)."""
-        return self._limits.tolist()
-
-    def flush_source_queue(self, node_id: int) -> int:
-        """Discard not-yet-injected flits queued at ``node_id``'s interface.
-
-        Flits of packets whose head already entered the network are kept so
-        no headless worm is stranded inside the routers; fully dropped
-        packets count as drops.  Returns the number of flits discarded.
-        """
-        return self._flush_node(node_id)
-
-    def _flush_node(self, node: int) -> int:
-        """:meth:`flush_source_queue` of array node ``node`` (any episode)."""
-        count = int(self._sq_count[node])
-        if count == 0:
-            return 0
-        slots = (self._sq_head[node] + np.arange(count)) % self.source_queue_capacity
-        values = self._sq_vals[node, slots]
-        pkts = values >> PKT_SHIFT
-        keep = self._registry.table[COL_INJECTED, pkts] >= 0
-        kept = int(keep.sum())
-        dropped = np.unique(pkts[~keep])
-        self._registry.forget(dropped)
-        lane = node // self.topology.num_nodes
-        self._counts[lane, CNT_DROPPED] += int(dropped.size)
-        self._sq_head[node] = 0
-        self._sq_count[node] = kept
-        if kept:
-            self._sq_vals[node, :kept] = values[keep]
-        return count - kept
-
-    def reset_injection_limits(self) -> None:
-        """Lift every injection restriction (full rollback)."""
-        self._limits.fill(1.0)
-        self._allowance.fill(0.0)
-        self._limited_idx = np.empty(0, dtype=np.int64)
-
-    @property
-    def restricted_nodes(self) -> list[int]:
-        """Nodes currently running under an injection limit below 1.0."""
-        return [int(node) for node in np.nonzero(self._limits < 1.0)[0]]
-
     # -- cycle advance ------------------------------------------------------
     def step(self, cycle: int) -> None:
         """Advance the network by one cycle (inject, allocate, traverse)."""
         self._advance(cycle)
-        self._occ_samples += 1
-        self.stats.cycles = cycle + 1
+        self._steps += 1
+        for stats in self._lane_stats:
+            stats.cycles = cycle + 1
 
     def _advance(self, cycle: int) -> None:
         """Both kernel phases (timed per phase when metrics are on), then the
@@ -730,119 +905,6 @@ class SoAMeshNetwork:
             self._occ_sum += self._occ_tmp
         if self._registry.in_flight_callers:
             self._registry.stamp_callers()
-
-    # -- DL2Fence observables ------------------------------------------------
-    def feature_frame(self, direction: Direction, kind) -> np.ndarray:
-        """One directional feature frame, read straight off the counters."""
-        return self.feature_frames(kind)[direction]
-
-    def feature_frames(self, kind) -> dict[Direction, np.ndarray]:
-        """All four directional frames of one feature, no router walk.
-
-        The per-port counter arrays are sliced into the natural directional
-        geometries (east-most columns lack EAST input ports, etc.), exactly
-        matching :func:`repro.monitor.features.extract_feature_frames` on
-        the object backend.
-        """
-        from repro.monitor.features import FeatureKind
-
-        rows, cols = self.topology.rows, self.topology.columns
-        if kind is FeatureKind.VCO:
-            if self._occ_samples == 0:
-                values = self._occupied / float(self.num_vcs)
-            elif self._occ_exact:
-                values = (self._occ_sum_int / float(self.num_vcs)) / self._occ_samples
-            else:
-                values = self._occ_sum / self._occ_samples
-        else:
-            values = (self._buf_writes + self._buf_reads).astype(np.float64)
-        grid = values.reshape(self.topology.num_nodes, 5)
-
-        def plane(direction: Direction) -> np.ndarray:
-            return grid[:, DIRECTION_INDEX[direction]].reshape(rows, cols)
-
-        return {
-            Direction.EAST: plane(Direction.EAST)[:, : cols - 1].copy(),
-            Direction.NORTH: plane(Direction.NORTH)[: rows - 1, :].copy(),
-            Direction.WEST: plane(Direction.WEST)[:, 1:].copy(),
-            Direction.SOUTH: plane(Direction.SOUTH)[1:, :].copy(),
-        }
-
-    def reset_boc_counters(self) -> None:
-        """Reset every port's BOC and VCO accumulators (window boundary)."""
-        self._buf_writes.fill(0)
-        self._buf_reads.fill(0)
-        self._occ_sum_int.fill(0)
-        self._occ_sum.fill(0.0)
-        self._occ_samples = 0
-
-    def local_boc(self) -> list[int]:
-        """Per-node LOCAL-slot BOC this window (see MeshNetwork.local_boc)."""
-        grid = (self._buf_writes + self._buf_reads).reshape(
-            self.topology.num_nodes, 5
-        )
-        return [int(value) for value in grid[:, 0]]
-
-    # -- bookkeeping --------------------------------------------------------
-    @property
-    def in_flight_flits(self) -> int:
-        """Flits buffered anywhere in the network (excluding source queues)."""
-        return int(self._vc_count.sum())
-
-    @property
-    def queued_flits(self) -> int:
-        """Flits still waiting in source injection queues."""
-        return int(self._sq_count.sum())
-
-    @property
-    def drainable_queued_flits(self) -> int:
-        """Queued flits that can still legally enter the network.
-
-        Excludes new packets queued at quarantined nodes — by policy that
-        backlog can never inject (continuation flits of partially injected
-        packets still count, mirroring the injection gate).
-        """
-        return self._drainable(0, self._array_nodes)
-
-    def _drainable(self, first: int, stop: int) -> int:
-        """:attr:`drainable_queued_flits` over array nodes ``[first, stop)``."""
-        total = 0
-        injected = self._registry.table[COL_INJECTED]
-        for node in (first + np.nonzero(self._sq_count[first:stop] > 0)[0]).tolist():
-            count = int(self._sq_count[node])
-            if self._limits[node] > 0.0:
-                total += count
-                continue
-            slots = (
-                self._sq_head[node] + np.arange(count)
-            ) % self.source_queue_capacity
-            pkts = self._sq_vals[node, slots] >> PKT_SHIFT
-            total += int((injected[pkts] >= 0).sum())
-        return total
-
-    def _occ_samples_for_port(self, flat_port: int) -> int:
-        """Occupancy sample count governing ``flat_port``'s VCO average.
-
-        One global counter here; the batched subclass maps the port to its
-        episode's counter (episodes reset windows independently).
-        """
-        return self._occ_samples
-
-    # -- object-backend compatibility views ---------------------------------
-    @property
-    def source_queues(self) -> "_SourceQueuesView":
-        """Length-reporting view of the per-node source queues."""
-        return _SourceQueuesView(self)
-
-    def router(self, node_id: int) -> "SoARouterView":
-        """Read-only router view (VCO/BOC observables of one node)."""
-        self.topology._check_node(node_id)
-        return SoARouterView(self, int(node_id))
-
-    @property
-    def routers(self) -> list["SoARouterView"]:
-        """Read-only router views in node order."""
-        return [SoARouterView(self, node) for node in self.topology.nodes()]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -1111,24 +1173,28 @@ class _GrowableInt:
 
 
 class _SourceQueuesView:
-    """Sequence view over the SoA source-queue rings (lengths only)."""
+    """Sequence view over one episode's source-queue rings (lengths only)."""
 
-    def __init__(self, net: SoAMeshNetwork) -> None:
+    def __init__(self, net: SoAMeshNetwork, first: int, nodes: int) -> None:
         self._net = net
+        self._first = first
+        self._nodes = nodes
 
     def __len__(self) -> int:
-        return self._net.topology.num_nodes
+        return self._nodes
 
     def __getitem__(self, node_id: int) -> "_SourceQueueView":
-        return _SourceQueueView(self._net, node_id)
+        if not 0 <= node_id < self._nodes:
+            raise IndexError(f"node {node_id} outside the episode's {self._nodes}")
+        return _SourceQueueView(self._net, self._first + node_id)
 
 
 class _SourceQueueView:
-    """Length view of one node's source queue."""
+    """Length view of one array node's source queue."""
 
-    def __init__(self, net: SoAMeshNetwork, node_id: int) -> None:
+    def __init__(self, net: SoAMeshNetwork, node: int) -> None:
         self._net = net
-        self._node = node_id
+        self._node = node
 
     def __len__(self) -> int:
         return int(self._net._sq_count[self._node])
@@ -1163,7 +1229,8 @@ class SoAPortView:
 
     @property
     def occupancy_samples(self) -> int:
-        return self._net._occ_samples_for_port(self._flat)
+        net = self._net
+        return net._window_samples(self._flat // (net.topology.num_nodes * 5))
 
     @property
     def instantaneous_occupancy(self) -> float:
@@ -1177,7 +1244,7 @@ class SoAPortView:
 
     @property
     def vc_occupancy(self) -> float:
-        samples = self._net._occ_samples_for_port(self._flat)
+        samples = self.occupancy_samples
         if samples == 0:
             return self.instantaneous_occupancy
         return self.occupancy_sum / samples

@@ -1,12 +1,9 @@
 """Episode-batched structure-of-arrays mesh backend: one dispatch, N meshes.
 
-``BENCH_PR4.json`` showed the remaining 16x16 per-cycle cost is numpy
-per-call dispatch (~85 kernel ops per cycle), which no amount of
-micro-optimization inside one mesh removes.  Every sweep, training-data
-build and robustness-matrix cell runs dozens of *independent* episodes, so
-the architectural fix is a leading episode axis: advance all N meshes with
-a single run of the existing kernels, amortizing the fixed dispatch cost
-N-fold.
+Every sweep, training-data build and robustness-matrix cell runs dozens of
+*independent* episodes, and a small mesh's per-cycle cost is mostly fixed
+dispatch overhead, so a leading episode axis advances all N meshes with a
+single run of the existing kernels, amortizing that cost N-fold.
 
 :class:`BatchedSoAMeshNetwork` realises that axis without a second kernel
 implementation.  The :mod:`repro.noc.soa_step` kernels are agnostic to mesh
@@ -20,15 +17,19 @@ no packet, credit or arbitration decision can cross episodes; each episode
 block evolves exactly as a solo :class:`~repro.noc.soa.SoAMeshNetwork`
 would.
 
-Per-episode observability comes from :class:`SoAMeshLane` views: episode
-``i``'s lane exposes the full ``MeshNetwork``-facing surface (enqueue,
-stats, feature frames, injection limits, flush) reading and writing the
-``i``-th block of the shared arrays, with its own
-:class:`~repro.noc.stats.NetworkStats` over the shared packet registry
-(rows tagged with their episode) — so
+The batched network keeps only what differs from the solo one: the tiled
+tables, the cross-episode :meth:`~BatchedSoAMeshNetwork.enqueue_group`
+ingress, the cross-batch ``killed_packets`` / ``unroutable_packets``
+totals, and a ``TypeError`` on every per-episode member read directly.
+Episode ``k`` is served by a :class:`SoAMeshLane`, which is the solo
+network's own per-episode surface (:class:`~repro.noc.soa.EpisodeSurface`)
+pointed at block ``k``: node ``i`` is array node ``k * num_nodes + i``, and
+its ``NetworkStats`` reads row ``k`` of the shared packet registry and
+counters.  Lane views are built on demand and only the view refers to the
+network, so a dropped batch is freed without the cyclic garbage collector.
 ``batched(N=1)`` is fingerprint-identical to the solo SoA path, and row
-``i`` of ``batched(N=k)`` is fingerprint-identical to a solo run of episode
-``i`` (pinned by ``tests/noc/test_batched_equivalence.py``).
+``k`` of ``batched(N=n)`` is fingerprint-identical to a solo run of
+episode ``k`` (pinned by ``tests/noc/test_batched_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -40,16 +41,14 @@ import numpy as np
 from repro.noc import soa_step
 from repro.noc.packet import Packet
 from repro.noc.soa import (
-    DIRECTION_INDEX,
+    EpisodeSurface,
     MeshTables,
     SoAMeshNetwork,
-    SoARouterView,
     _vc_tables,
     mesh_tables,
 )
-from repro.noc.soa_kernel import CNT_DROPPED, CNT_UNROUTABLE
-from repro.noc.stats import NetworkStats
-from repro.noc.topology import Direction, MeshTopology
+from repro.noc.soa_kernel import CNT_UNROUTABLE
+from repro.noc.topology import MeshTopology
 
 __all__ = ["BatchedSoAMeshNetwork", "SoAMeshLane", "batched_tables"]
 
@@ -153,22 +152,31 @@ def batched_tables(
     return built
 
 
-def _no_direct_surface(name: str):
-    def method(self, *args, **kwargs):
-        raise TypeError(
-            f"BatchedSoAMeshNetwork.{name} is per-episode state; "
-            f"use network.lane(i).{name}(...) instead"
-        )
+class _PerEpisode:
+    """Class-body guard for a per-episode member of the batched network.
 
-    return method
+    Reading it raises: on the batched network it would silently act on
+    episode 0's block, or mix every episode's state.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, network, owner=None):
+        if network is None:
+            return self
+        raise TypeError(
+            f"BatchedSoAMeshNetwork.{self.name} is per-episode state; "
+            f"use network.lane(i).{self.name} instead"
+        )
 
 
 class BatchedSoAMeshNetwork(SoAMeshNetwork):
     """N disjoint mesh copies advanced by one kernel dispatch per cycle.
 
     The episode-facing surface lives on the :class:`SoAMeshLane` views
-    returned by :meth:`lane`; calling a per-episode method (enqueue,
-    limits, frames) on the batched network directly raises.
+    returned by :meth:`lane`; reading a per-episode member (enqueue,
+    limits, frames, stats) on the batched network directly raises.
     """
 
     backend_name = "soa-batch"
@@ -192,8 +200,6 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
             injection_bandwidth=injection_bandwidth,
             source_queue_capacity=source_queue_capacity,
         )
-        self._lane_occ_samples = np.zeros(self.episodes, dtype=np.int64)
-        self._lanes = [SoAMeshLane(self, index) for index in range(self.episodes)]
 
     def _install_tables(self) -> None:
         tables, vc = batched_tables(self.topology, self.num_vcs, self.episodes)
@@ -213,21 +219,18 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
 
     # -- episode views -------------------------------------------------------
     def lane(self, index: int) -> "SoAMeshLane":
-        """The ``MeshNetwork``-facing view of episode ``index``."""
-        return self._lanes[index]
+        """The ``MeshNetwork``-facing view of episode ``index``.
+
+        Views are built on demand and hold the network, never the reverse,
+        so a dropped batch is freed without the cyclic garbage collector.
+        """
+        if not 0 <= index < self.episodes:
+            raise IndexError(f"episode {index} outside the batch of {self.episodes}")
+        return SoAMeshLane(self, index)
 
     @property
     def lanes(self) -> list["SoAMeshLane"]:
-        return list(self._lanes)
-
-    # -- cycle advance -------------------------------------------------------
-    def step(self, cycle: int) -> None:
-        """Advance every episode by one cycle in a single kernel dispatch."""
-        self._advance(cycle)
-        self._lane_occ_samples += 1
-        next_cycle = cycle + 1
-        for stats in self._lane_stats:
-            stats.cycles = next_cycle
+        return [SoAMeshLane(self, index) for index in range(self.episodes)]
 
     # -- grouped cross-episode ingress ---------------------------------------
     def enqueue_group(
@@ -252,16 +255,13 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
             self, -1, sources, destinations, size_flits, cycle, malicious, lane_ids
         )
 
-    # -- global bookkeeping ---------------------------------------------------
+    # -- cross-batch totals ----------------------------------------------------
+    # ``killed_packets`` (set by apply_data_faults) already counts every
+    # episode's excised packets.
     @property
-    def stats(self) -> NetworkStats:  # type: ignore[override]
-        raise TypeError(
-            "BatchedSoAMeshNetwork.stats is per-episode state; "
-            "use network.lane(i).stats instead"
-        )
-
-    def _occ_samples_for_port(self, flat_port: int) -> int:
-        return int(self._lane_occ_samples[flat_port // (self.topology.num_nodes * 5)])
+    def unroutable_packets(self) -> int:
+        """Never-injected unroutable packets dropped, summed over episodes."""
+        return int(self._counts[:, CNT_UNROUTABLE].sum())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -269,25 +269,37 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
             f" x{self.episodes} episodes, vcs={self.num_vcs})"
         )
 
-    # Per-episode surface: direct calls would silently mix episode state.
-    enqueue_packet = _no_direct_surface("enqueue_packet")
-    enqueue_batch = _no_direct_surface("enqueue_batch")
-    set_injection_limit = _no_direct_surface("set_injection_limit")
-    injection_limit = _no_direct_surface("injection_limit")
-    flush_source_queue = _no_direct_surface("flush_source_queue")
-    feature_frame = _no_direct_surface("feature_frame")
-    feature_frames = _no_direct_surface("feature_frames")
-    reset_boc_counters = _no_direct_surface("reset_boc_counters")
-    router = _no_direct_surface("router")
+    # Per-episode surface: direct reads would silently mix episode state.
+    enqueue_packet = _PerEpisode()
+    enqueue_batch = _PerEpisode()
+    stats = _PerEpisode()
+    dropped_packets = _PerEpisode()
+    set_injection_limit = _PerEpisode()
+    injection_limit = _PerEpisode()
+    injection_limits = _PerEpisode()
+    reset_injection_limits = _PerEpisode()
+    restricted_nodes = _PerEpisode()
+    flush_source_queue = _PerEpisode()
+    feature_frame = _PerEpisode()
+    feature_frames = _PerEpisode()
+    reset_boc_counters = _PerEpisode()
+    local_boc = _PerEpisode()
+    in_flight_flits = _PerEpisode()
+    queued_flits = _PerEpisode()
+    drainable_queued_flits = _PerEpisode()
+    source_queues = _PerEpisode()
+    router = _PerEpisode()
+    routers = _PerEpisode()
 
 
-class SoAMeshLane:
+class SoAMeshLane(EpisodeSurface):
     """The ``MeshNetwork``-facing surface of one episode of a batched mesh.
 
-    Reads and writes the episode's block of the shared state arrays; every
-    observable (stats, frames, drops, limits) is private to the episode, so
-    consumers written against :class:`~repro.noc.soa.SoAMeshNetwork` — the
-    monitor, the defense guard, the dataset builder — run unchanged.
+    Serves :class:`~repro.noc.soa.EpisodeSurface` over the episode's block
+    of the shared state arrays; every observable (stats, frames, drops,
+    limits) is private to the episode, so consumers written against
+    :class:`~repro.noc.soa.SoAMeshNetwork` — the monitor, the defense
+    guard, the dataset builder — run unchanged.
     """
 
     backend_name = "soa"
@@ -296,44 +308,11 @@ class SoAMeshLane:
         self._net = net
         self.lane_index = index
         self.topology = net.topology
-        self._nodes = net.topology.num_nodes
-        self._off = index * self._nodes
-
-    # -- shared configuration -------------------------------------------------
-    @property
-    def num_vcs(self) -> int:
-        return self._net.num_vcs
-
-    @property
-    def vc_depth(self) -> int:
-        return self._net.vc_depth
-
-    @property
-    def injection_bandwidth(self) -> int:
-        return self._net.injection_bandwidth
-
-    @property
-    def source_queue_capacity(self) -> int:
-        return self._net.source_queue_capacity
-
-    @property
-    def stats(self) -> NetworkStats:
-        # Counters are live; the delivered Packet list is built on first
-        # read (see repro.noc.soa._RegistryStats), so counter reads stay O(1).
-        return self._net._lane_stats[self.lane_index]
-
-    @property
-    def dropped_packets(self) -> int:
-        return int(self._net._counts[self.lane_index, CNT_DROPPED])
-
-    @property
-    def unroutable_packets(self) -> int:
-        return int(self._net._counts[self.lane_index, CNT_UNROUTABLE])
-
-    @property
-    def route_provider(self):
-        """Active fault-aware route provider (shared by every episode)."""
-        return self._net._route_provider
+        self._off = index * net.topology.num_nodes
+        self.num_vcs = net.num_vcs
+        self.vc_depth = net.vc_depth
+        self.injection_bandwidth = net.injection_bandwidth
+        self.source_queue_capacity = net.source_queue_capacity
 
     # -- injection interface --------------------------------------------------
     def enqueue_packet(self, packet: Packet) -> bool:
@@ -359,156 +338,8 @@ class SoAMeshLane:
             malicious,
         )
 
-    # -- injection rate limiting (defense hooks) ------------------------------
-    def set_injection_limit(self, node_id: int, fraction: float) -> None:
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("injection limit must be in [0, 1]")
-        if node_id not in self.topology:
-            raise ValueError(f"node {node_id} outside the {self.topology!r} mesh")
-        net = self._net
-        node = self._off + node_id
-        net._limits[node] = float(fraction)
-        net._allowance[node] = 0.0
-        net._limited_idx = np.nonzero(net._limits < 1.0)[0]
-
-    def injection_limit(self, node_id: int) -> float:
-        return float(self._net._limits[self._off + node_id])
-
-    @property
-    def injection_limits(self) -> list[float]:
-        return self._net._limits[self._off : self._off + self._nodes].tolist()
-
-    def reset_injection_limits(self) -> None:
-        net = self._net
-        net._limits[self._off : self._off + self._nodes] = 1.0
-        net._allowance[self._off : self._off + self._nodes] = 0.0
-        net._limited_idx = np.nonzero(net._limits < 1.0)[0]
-
-    @property
-    def restricted_nodes(self) -> list[int]:
-        block = self._net._limits[self._off : self._off + self._nodes]
-        return [int(node) for node in np.nonzero(block < 1.0)[0]]
-
-    def flush_source_queue(self, node_id: int) -> int:
-        """Discard not-yet-injected flits queued at the episode's ``node_id``."""
-        return self._net._flush_node(self._off + node_id)
-
-    # -- DL2Fence observables -------------------------------------------------
-    def feature_frame(self, direction: Direction, kind) -> np.ndarray:
-        return self.feature_frames(kind)[direction]
-
-    def feature_frames(self, kind) -> dict[Direction, np.ndarray]:
-        """All four directional frames of the episode, sliced off its block."""
-        from repro.monitor.features import FeatureKind
-
-        net = self._net
-        rows, cols = self.topology.rows, self.topology.columns
-        p0 = self._off * 5
-        p1 = p0 + self._nodes * 5
-        if kind is FeatureKind.VCO:
-            samples = int(net._lane_occ_samples[self.lane_index])
-            if samples == 0:
-                values = net._occupied[p0:p1] / float(net.num_vcs)
-            elif net._occ_exact:
-                values = (net._occ_sum_int[p0:p1] / float(net.num_vcs)) / samples
-            else:
-                values = net._occ_sum[p0:p1] / samples
-        else:
-            values = (net._buf_writes[p0:p1] + net._buf_reads[p0:p1]).astype(
-                np.float64
-            )
-        grid = values.reshape(self._nodes, 5)
-
-        def plane(direction: Direction) -> np.ndarray:
-            return grid[:, DIRECTION_INDEX[direction]].reshape(rows, cols)
-
-        return {
-            Direction.EAST: plane(Direction.EAST)[:, : cols - 1].copy(),
-            Direction.NORTH: plane(Direction.NORTH)[: rows - 1, :].copy(),
-            Direction.WEST: plane(Direction.WEST)[:, 1:].copy(),
-            Direction.SOUTH: plane(Direction.SOUTH)[1:, :].copy(),
-        }
-
-    def local_boc(self) -> list[int]:
-        """Per-node LOCAL-slot BOC this window (see MeshNetwork.local_boc)."""
-        net = self._net
-        p0 = self._off * 5
-        p1 = p0 + self._nodes * 5
-        grid = (net._buf_writes[p0:p1] + net._buf_reads[p0:p1]).reshape(
-            self._nodes, 5
-        )
-        return [int(value) for value in grid[:, 0]]
-
-    def reset_boc_counters(self) -> None:
-        """Reset the episode's BOC and VCO accumulators (window boundary)."""
-        net = self._net
-        p0 = self._off * 5
-        p1 = p0 + self._nodes * 5
-        net._buf_writes[p0:p1] = 0
-        net._buf_reads[p0:p1] = 0
-        net._occ_sum_int[p0:p1] = 0
-        net._occ_sum[p0:p1] = 0.0
-        net._lane_occ_samples[self.lane_index] = 0
-
-    # -- bookkeeping ----------------------------------------------------------
-    @property
-    def in_flight_flits(self) -> int:
-        net = self._net
-        q0 = self._off * 5 * net.num_vcs
-        q1 = q0 + self._nodes * 5 * net.num_vcs
-        return int(net._vc_count[q0:q1].sum())
-
-    @property
-    def queued_flits(self) -> int:
-        return int(self._net._sq_count[self._off : self._off + self._nodes].sum())
-
-    @property
-    def drainable_queued_flits(self) -> int:
-        return self._net._drainable(self._off, self._off + self._nodes)
-
-    # -- object-backend compatibility views -----------------------------------
-    @property
-    def source_queues(self) -> "_LaneSourceQueuesView":
-        return _LaneSourceQueuesView(self)
-
-    def router(self, node_id: int) -> SoARouterView:
-        """Read-only router view of the episode's ``node_id``."""
-        self.topology._check_node(node_id)
-        return SoARouterView(self._net, self._off + int(node_id))
-
-    @property
-    def routers(self) -> list[SoARouterView]:
-        return [self.router(node) for node in self.topology.nodes()]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SoAMeshLane({self.lane_index} of {self._net.episodes}, "
             f"{self.topology.rows}x{self.topology.columns})"
         )
-
-
-class _LaneSourceQueuesView:
-    """Length-reporting view of one episode's source queues."""
-
-    def __init__(self, lane: SoAMeshLane) -> None:
-        self._lane = lane
-
-    def __len__(self) -> int:
-        return self._lane.topology.num_nodes
-
-    def __getitem__(self, node_id: int) -> "_LaneSourceQueueView":
-        return _LaneSourceQueueView(self._lane, node_id)
-
-
-class _LaneSourceQueueView:
-    """Length view of one node's source queue inside an episode."""
-
-    def __init__(self, lane: SoAMeshLane, node_id: int) -> None:
-        self._lane = lane
-        self._node = node_id
-
-    def __len__(self) -> int:
-        return int(self._lane._net._sq_count[self._lane._off + self._node])
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
