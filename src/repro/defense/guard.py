@@ -40,11 +40,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import weakref
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.pipeline import DL2Fence
+from repro.core.pipeline import DL2Fence, LocalizationResult
 from repro.defense.degraded import DegradedModeConfig, WindowSanitizer
 from repro.defense.evidence import EvidenceAccumulator, EvidenceConfig
 from repro.defense.policy import MitigationPolicy
@@ -57,6 +58,22 @@ from repro.obs.bus import BUS
 from repro.obs.metrics import METRICS, guard_events_counter
 
 __all__ = ["DL2FenceGuard"]
+
+#: ``DefenseReport.event_counts`` keys, in the order a traced report lists them.
+_EVENT_COUNT_KEYS = (
+    "engagements",
+    "releases",
+    "convictions",
+    "clamps",
+    "detour_discounts",
+)
+#: The ``event_counts`` key each tallied decision kind adds its nodes to.
+_TALLY_KEYS = {
+    "engaged": "engagements",
+    "rolled_back": "releases",
+    "released": "releases",
+    "convicted": "convictions",
+}
 
 
 @dataclass(frozen=True)
@@ -75,9 +92,7 @@ class _WindowStats:
 class _EngagedNode:
     """Book-keeping for one node under an active countermeasure."""
 
-    node: int
     previous_limit: float
-    engaged_cycle: int
     windows_since_flagged: int = 0
     #: Shadow counter: estimated residual pressure behind the fence.  A
     #: quarantined node emits no congestion evidence, so the guard keeps a
@@ -85,6 +100,38 @@ class _EngagedNode:
     #: engage time, bumped whenever the node is re-flagged while fenced,
     #: cooled every quiet window.  Release probes go lowest-pressure first.
     shadow_pressure: float = 0.0
+
+
+@dataclass(frozen=True)
+class _Window:
+    """One sampling window as ``_observe`` establishes it, before any decision."""
+
+    #: The (sanitized) sample the pipeline sees.
+    sample: FrameSample
+    stats: _WindowStats
+    #: Nodes with no trustworthy telemetry this window.
+    unobservable: frozenset[int]
+    #: Detour carriers whose evidence is discounted, and those whose own
+    #: injection corroborates an accusation (full weight).
+    detour: frozenset[int]
+    corroborated: frozenset[int]
+    #: Sampling windows lost in delivery since the previous one.
+    missed: int
+    #: Whether the capture clock is current; stale windows never release.
+    fresh_clock: bool
+
+
+@dataclass(frozen=True)
+class _Decision:
+    """What ``_decide`` concludes about one window, before anything acts."""
+
+    #: Detector fired, or evidence convicted a not-yet-fenced node.
+    acted: bool
+    phase: str
+    #: Localized or convicted nodes with trustworthy telemetry, sorted, and
+    #: those of them whose flag streaks may advance this window.
+    flagged: tuple[int, ...]
+    streak_eligible: tuple[int, ...]
 
 
 class DL2FenceGuard:
@@ -113,9 +160,8 @@ class DL2FenceGuard:
         attack_start: int | None = None,
         attack_end: int | None = None,
         true_attackers: tuple[int, ...] = (),
-        force_localization: bool = False,
-        evidence: EvidenceConfig | bool = True,
-        degraded: DegradedModeConfig | bool = True,
+        evidence: EvidenceConfig | None = EvidenceConfig(),
+        degraded: DegradedModeConfig | None = DegradedModeConfig(),
     ) -> None:
         """``attack_start``, ``attack_end`` and ``true_attackers`` are
         optional ground truth used only for evaluation metrics (detection
@@ -124,9 +170,8 @@ class DL2FenceGuard:
 
         ``evidence`` configures the cross-window evidence accumulator the
         guard consults alongside the per-window Table-Like Method (see
-        :mod:`repro.defense.evidence`): ``True`` (the default) uses
-        :class:`EvidenceConfig` defaults, an explicit config tunes it, and
-        ``False`` restores pure single-window localization.
+        :mod:`repro.defense.evidence`); ``None`` restores pure
+        single-window localization.
 
         ``degraded`` configures degraded-mode operation against faulty
         telemetry (see :mod:`repro.defense.degraded`): windows are scrubbed
@@ -135,22 +180,18 @@ class DL2FenceGuard:
         and nodes with no trustworthy telemetry — declared-silent or
         stuck-counter — are excluded from evidence, flag streaks and new
         engagements.  On a healthy stream the whole machinery is a no-op,
-        which is why it defaults on; ``False`` disables it."""
+        which is why it defaults on; ``None`` disables it."""
+        if isinstance(evidence, bool) or isinstance(degraded, bool):
+            raise TypeError("evidence and degraded take a config or None, not a bool")
         self.fence = fence
         self.policy = policy or MitigationPolicy()
-        self.force_localization = force_localization
-        if evidence is True:
-            evidence = EvidenceConfig()
-        self.evidence_config: EvidenceConfig | None = evidence or None
-        if degraded is True:
-            degraded = DegradedModeConfig()
-        self.degraded_config: DegradedModeConfig | None = degraded or None
+        self.evidence_config = evidence
+        self.degraded_config = degraded
         # Built lazily on the first window (the scripted test harness wires
         # a guard to a simulator without attach(), so the mesh size is only
         # reliably known once a sample arrives).
         self.evidence: EvidenceAccumulator | None = None
         self._simulator = None
-        self.monitor: GlobalPerformanceMonitor | None = None
         self.report = DefenseReport(
             policy=self.policy,
             sample_period=0,
@@ -197,10 +238,11 @@ class DL2FenceGuard:
 
     @simulator.setter
     def simulator(self, simulator: NoCSimulator | None) -> None:
-        # Held weakly: the simulator already reaches this guard through its
-        # monitor's observer and listener callbacks, and a strong reference
-        # back would leave the whole episode, network arrays included, in a
-        # reference cycle that only the cyclic garbage collector frees.
+        # Held weakly, and the monitor not at all: the simulator already
+        # reaches this guard through its monitor's observer and listener
+        # callbacks, and a strong reference back would leave the whole
+        # episode, network arrays included, in a reference cycle that only
+        # the cyclic garbage collector frees.
         self._simulator = weakref.ref(simulator) if simulator is not None else None
 
     def attach(
@@ -218,7 +260,6 @@ class DL2FenceGuard:
         if monitor is None:
             monitor = GlobalPerformanceMonitor(monitor_config).attach(simulator)
         self.simulator = simulator
-        self.monitor = monitor
         self.report.sample_period = monitor.config.sample_period
         # The guard is the one listener whose failure must abort the episode
         # (a defense silently detached from its stream is worse than a
@@ -232,18 +273,9 @@ class DL2FenceGuard:
         """Nodes currently under an active countermeasure."""
         return sorted(self._engaged)
 
-    @property
-    def is_engaged(self) -> bool:
-        return bool(self._engaged)
-
-    @property
-    def localization_round(self) -> int:
-        """Engagement rounds completed so far (0 before the first fence)."""
-        return self._round
-
     # -- the closed loop -----------------------------------------------------
     def on_sample(self, sample: FrameSample, simulator: NoCSimulator) -> None:
-        """Process one sampling window: detect, accumulate, localize, mitigate.
+        """Process one sampling window: observe, localize, fuse, decide, act.
 
         The window's actionable attacker set is the union of the Table-Like
         Method's per-window localization and the nodes the cross-window
@@ -256,7 +288,24 @@ class DL2FenceGuard:
         fresh evidence, so its stale suspicion must not block the release
         probing the hysteresis machinery schedules.
         """
-        engaged_at_start = bool(self._engaged)
+        window = self._observe(sample, simulator)
+        result, weight = self._localize(window, simulator)
+        convicted = self._fuse(window, result, weight)
+        decision = self._decide(window, result, convicted, simulator)
+        self._actuate(window, decision, simulator)
+        self._record_window(window, result, convicted, decision)
+
+    def _observe(self, sample: FrameSample, simulator: NoCSimulator) -> _Window:
+        """Open the window: trace coordinates, live routing, telemetry health.
+
+        Points the pipeline's TLM/VCE at the live (possibly fault-degraded)
+        routing function, so a mid-episode link death re-anchors the
+        reverse deduction at the next sample.  In degraded mode, splits off
+        the detour carriers, scrubs the window against fault signatures
+        (frame-less stub samples of scripted harnesses bypass it) and judges
+        the capture clock: a stale (delayed) window testifies about the past
+        and never releases a fence.  Counts the windows lost in delivery.
+        """
         period = self.report.sample_period
         if BUS.active:
             # Coordinates for every event this window emits, including from
@@ -269,199 +318,198 @@ class DL2FenceGuard:
                 window=self._window_index,
             )
             if not self.report.event_counts:
-                self.report.event_counts = {
-                    "engagements": 0,
-                    "releases": 0,
-                    "convictions": 0,
-                    "clamps": 0,
-                    "detour_discounts": 0,
-                }
-
-        # Keep localization topology-aware: point the pipeline's TLM/VCE at
-        # the live (possibly fault-degraded) routing function every window,
-        # so a mid-episode link death re-anchors the reverse deduction at
-        # the next sample.  ``None`` on a pristine mesh — a no-op.
+                self.report.event_counts = dict.fromkeys(_EVENT_COUNT_KEYS, 0)
         sync_provider = getattr(self.fence, "set_route_provider", None)
         if sync_provider is not None:
             sync_provider(
                 getattr(getattr(simulator, "network", None), "route_provider", None)
             )
-
-        # Detour carriers of an active data-plane fault: trustworthy
-        # telemetry, but congestion partly caused by the reroute itself.
-        detour: frozenset[int] = frozenset()
-        corroborated: frozenset[int] = frozenset()
-        if self.degraded_config is not None:
-            metadata = getattr(sample, "metadata", None) or {}
-            detour = frozenset(int(node) for node in metadata.get(DETOUR_KEY, ()))
-            # Injection-corroborated carriers: the reroute can shift what a
-            # router forwards, never what its PE injects.  A carrier whose
-            # LOCAL-port activity runs well above the mesh-wide median this
-            # window is injecting a flood of its own, and any accusation
-            # against it keeps full evidence weight — per-window, so one
-            # benign burst never latches an innocent carrier out of the
-            # protections.
-            if detour:
-                local = metadata.get(LOCAL_BOC_KEY)
-                if local:
-                    activity = np.asarray(local, dtype=np.float64)
-                    bar = self.degraded_config.detour_injection_factor * max(
-                        float(np.median(activity)), 1.0
+        config = self.degraded_config
+        detour = corroborated = unobservable = frozenset()
+        fresh_clock = True
+        if config is not None:
+            detour, corroborated = self._split_detour(sample, config)
+            if getattr(sample, "vco", None) is not None:
+                if self._sanitizer is None:
+                    self._sanitizer = WindowSanitizer(
+                        simulator.topology, config, sample_period=period or None
                     )
-                    corroborated = frozenset(
-                        node for node in detour if activity[node] >= bar
-                    )
-                    detour -= corroborated
-
-        # -- degraded-mode preprocessing ----------------------------------
-        # Scrub the window against fault signatures (stuck counters,
-        # implausible cells, declared-silent nodes).  Scripted harnesses
-        # push frame-less stub samples; those bypass sanitisation.
-        unobservable: frozenset[int] = frozenset()
-        if self.degraded_config is not None and getattr(sample, "vco", None) is not None:
-            if self._sanitizer is None:
-                self._sanitizer = WindowSanitizer(
-                    simulator.topology,
-                    self.degraded_config,
-                    sample_period=period or None,
-                )
-            sample, health = self._sanitizer.sanitize(sample)
-            unobservable = health.unobservable
-            if BUS.active and health.imputed_cells:
-                self._count_event("clamps", health.imputed_cells)
-        # Delivery-gap and clock-staleness bookkeeping.  A gap (dropped
-        # windows) charges the evidence accumulator the decay it missed; a
-        # stale capture clock (delayed windows arriving in a burst) blocks
-        # release decisions below — stale windows testify about the past,
-        # and fences are only lifted on *current* cleanliness.
-        missed_windows = 0
+                sample, health = self._sanitizer.sanitize(sample)
+                unobservable = health.unobservable
+                if BUS.active and health.imputed_cells:
+                    self.report.event_counts["clamps"] += health.imputed_cells
+            if period > 0:
+                lag = simulator.cycle - sample.cycle
+                fresh_clock = lag <= config.stale_window_tolerance * period
+        missed = 0
         if period > 0 and self._last_window_cycle is not None:
             elapsed = int(round((sample.cycle - self._last_window_cycle) / period))
-            missed_windows = max(0, elapsed - 1)
+            missed = max(0, elapsed - 1)
         if self._last_window_cycle is None or sample.cycle > self._last_window_cycle:
             self._last_window_cycle = sample.cycle
-        fresh_clock = True
-        if period > 0 and self.degraded_config is not None:
-            lag = simulator.cycle - sample.cycle
-            fresh_clock = lag <= self.degraded_config.stale_window_tolerance * period
-
-        result = self.fence.process_sample(
-            sample, force_localization=self.force_localization
+        return _Window(
+            sample=sample,
+            stats=self._window_latency(simulator),
+            unobservable=unobservable,
+            detour=detour,
+            corroborated=corroborated,
+            missed=missed,
+            fresh_clock=fresh_clock,
         )
-        window_stats = self._window_latency(simulator)
 
-        convicted: list[int] = []
-        if self.evidence_config is not None:
-            if self.evidence is None:
-                self.evidence = EvidenceAccumulator(
-                    simulator.topology.num_nodes, self.evidence_config
-                )
-            if missed_windows:
-                cap = (
-                    self.degraded_config.max_gap_decay
-                    if self.degraded_config is not None
-                    else 8
-                )
-                self.evidence.decay_gap(min(missed_windows, cap))
-            weight = self.evidence.window_weight(
-                result.detected,
-                result.detection_probability,
-                benign_calibration=getattr(
-                    getattr(self.fence, "detector", None), "benign_calibration", None
-                ),
-            )
-            if not result.detected and weight > 0.0 and not self.force_localization:
-                # Sub-threshold window: run segmentation anyway so weak
-                # evidence (partial routes, frontier candidates) enters the
-                # accumulator instead of being discarded with the window.
-                # The detection outcome is handed back in, so the detector
-                # forward pass is not repeated.
-                result = self.fence.process_sample(
-                    sample,
-                    force_localization=True,
-                    detection=(result.detected, result.detection_probability),
-                )
-            observed = result
-            if unobservable:
-                # Hard invariant: a node with no trustworthy telemetry this
-                # window contributes no affirmative evidence — a merely
-                # silent or stuck node can decay out of suspicion but never
-                # accrue into it.
-                observed = dataclasses.replace(
-                    result,
-                    attackers=[n for n in result.attackers if n not in unobservable],
-                    frontier=[n for n in result.frontier if n not in unobservable],
-                )
-            discounts = (
-                dict.fromkeys(detour, self.degraded_config.detour_discount)
-                if detour and self.degraded_config is not None
-                else None
-            )
-            if BUS.active and (discounts or corroborated):
-                BUS.emit(
-                    "detour_discount",
-                    nodes=detour,
-                    discount=(
-                        self.degraded_config.detour_discount if discounts else 1.0
-                    ),
-                    promoted=corroborated,
-                )
-                if discounts:
-                    self._count_event("detour_discounts", len(detour))
-            fresh = self.evidence.observe(
-                observed,
-                weight,
-                discounts=discounts,
-                promotions=corroborated or None,
-            )
-            if fresh:
-                self.report.events.append(
-                    DefenseEvent(
-                        cycle=sample.cycle,
-                        kind="convicted",
-                        nodes=tuple(sorted(fresh)),
-                        detail="cross-window evidence",
-                    )
-                )
-                if BUS.active:
-                    self._count_event("convictions", len(fresh))
-                if METRICS.active:
-                    guard_events_counter().inc(len(fresh), kind="convicted")
-            convicted = self.evidence.convicted_nodes()
+    @staticmethod
+    def _split_detour(
+        sample: FrameSample, config: DegradedModeConfig
+    ) -> tuple[frozenset[int], frozenset[int]]:
+        """(discounted, corroborated) detour carriers of the window.
 
+        Detour carriers of an active data-plane fault deliver trustworthy
+        telemetry, but congestion partly caused by the reroute itself.  The
+        reroute can shift what a router forwards, never what its PE
+        injects: a carrier whose LOCAL-port activity runs well above the
+        mesh-wide median this window is injecting a flood of its own, and
+        any accusation against it keeps full evidence weight — per-window,
+        so one benign burst never latches an innocent carrier out of the
+        protections.
+        """
+        metadata = getattr(sample, "metadata", None) or {}
+        detour = frozenset(int(node) for node in metadata.get(DETOUR_KEY, ()))
+        local = metadata.get(LOCAL_BOC_KEY) if detour else None
+        if not local:
+            return detour, frozenset()
+        activity = np.asarray(local, dtype=np.float64)
+        bar = config.detour_injection_factor * max(float(np.median(activity)), 1.0)
+        corroborated = frozenset(node for node in detour if activity[node] >= bar)
+        return detour - corroborated, corroborated
+
+    def _localize(
+        self, window: _Window, simulator: NoCSimulator
+    ) -> tuple[LocalizationResult, float]:
+        """Run the pipeline and weigh the window as evidence.
+
+        A sub-threshold window that still carries evidence weight is
+        segmented anyway, so weak evidence (partial routes, frontier
+        candidates) enters the accumulator instead of being discarded with
+        the window; the detection outcome is handed back in, so the
+        detector forward pass is not repeated.
+        """
+        result = self.fence.process_sample(window.sample)
+        if self.evidence_config is None:
+            return result, 0.0
+        if self.evidence is None:
+            self.evidence = EvidenceAccumulator(
+                simulator.topology.num_nodes, self.evidence_config
+            )
+        weight = self.evidence.window_weight(
+            result.detected,
+            result.detection_probability,
+            benign_calibration=getattr(
+                getattr(self.fence, "detector", None), "benign_calibration", None
+            ),
+        )
+        if not result.detected and weight > 0.0:
+            result = self.fence.process_sample(
+                window.sample,
+                force_localization=True,
+                detection=(result.detected, result.detection_probability),
+            )
+        return result, weight
+
+    def _fuse(
+        self, window: _Window, result: LocalizationResult, weight: float
+    ) -> tuple[int, ...]:
+        """Fold the window into the cross-window evidence; record convictions.
+
+        A delivery gap first charges the decay the lost windows would have.
+        Hard invariant: a node with no trustworthy telemetry this window
+        contributes no affirmative evidence — a merely silent or stuck node
+        can decay out of suspicion but never accrue into it.  Evidence
+        against uncorroborated detour carriers is discounted.
+        """
+        if self.evidence is None:
+            return ()
+        config = self.degraded_config
+        if window.missed:
+            cap = config.max_gap_decay if config is not None else 8
+            self.evidence.decay_gap(min(window.missed, cap))
+        observed, hidden = result, window.unobservable
+        if hidden:
+            observed = dataclasses.replace(
+                result,
+                attackers=[n for n in result.attackers if n not in hidden],
+                frontier=[n for n in result.frontier if n not in hidden],
+            )
+        discounts = None
+        if window.detour:
+            discounts = dict.fromkeys(window.detour, config.detour_discount)
+        if BUS.active and (discounts or window.corroborated):
+            BUS.emit(
+                "detour_discount",
+                nodes=window.detour,
+                discount=config.detour_discount if discounts else 1.0,
+                promoted=window.corroborated,
+            )
+            if discounts:
+                self.report.event_counts["detour_discounts"] += len(window.detour)
+        fresh = self.evidence.observe(
+            observed,
+            weight,
+            discounts=discounts,
+            promotions=window.corroborated or None,
+        )
+        if fresh:
+            self._emit(
+                "convicted", window.sample.cycle, sorted(fresh), "cross-window evidence"
+            )
+        return tuple(self.evidence.convicted_nodes())
+
+    def _decide(
+        self,
+        window: _Window,
+        result: LocalizationResult,
+        convicted: tuple[int, ...],
+        simulator: NoCSimulator,
+    ) -> _Decision:
+        """Whether the window acts, whom it flags, who may build a streak.
+
+        Also advances the per-window controllers (shadow pressure, adaptive
+        throttle) and the detection/clean-window counters, and records the
+        first window of a detection streak as ``detected``.  The phase is
+        judged before anything in this window engages or releases.
+        """
         acted = result.detected or any(
-            node not in self._engaged and node not in unobservable
+            node not in self._engaged and node not in window.unobservable
             for node in convicted
         )
-        flagged = sorted(set(result.attackers).union(convicted) - unobservable)
+        flagged = tuple(
+            sorted(set(result.attackers).union(convicted) - window.unobservable)
+        )
         # Detour carriers never engage on raw per-window flag streaks: a
         # reroute shifts legitimate congestion onto their row/column, so
         # per-frame naming is expected, not incriminating.  Only a full
         # cross-window conviction — which discounted evidence cannot
         # deliver unless the carrier's own injection telemetry lifts the
-        # discount — makes them streak-eligible.  (``detour`` here already
-        # excludes injection-corroborated carriers.)
-        convicted_set = set(convicted)
-        streak_eligible = [
-            node for node in flagged if node not in detour or node in convicted_set
-        ]
+        # discount — makes them streak-eligible.  (``window.detour``
+        # already excludes injection-corroborated carriers.)
+        streak_eligible = tuple(
+            node for node in flagged if node not in window.detour or node in convicted
+        )
         self._update_shadow_pressure(set(flagged))
-        self._update_adaptive_throttle(window_stats, simulator)
-
+        self._update_adaptive_throttle(window.stats, simulator)
         if acted:
             if self._consecutive_detections == 0:
                 detail = f"p={result.detection_probability:.2f}"
                 if not result.detected:
                     detail += " evidence"
-                self.report.events.append(
-                    DefenseEvent(cycle=sample.cycle, kind="detected", detail=detail)
+                self._emit(
+                    "detected",
+                    window.sample.cycle,
+                    detail=detail,
+                    trace=lambda: {
+                        "probability": float(result.detection_probability),
+                        "via": "detector" if result.detected else "evidence",
+                    },
                 )
-                if BUS.active or METRICS.active:
-                    self._trace(
-                        "detected",
-                        probability=float(result.detection_probability),
-                        via="detector" if result.detected else "evidence",
-                    )
             self._consecutive_detections += 1
             self._consecutive_clean = 0
         else:
@@ -473,57 +521,72 @@ class DL2FenceGuard:
                 # While mitigation is active, clean windows are expected (the
                 # fence suppresses the evidence), so streaks survive there.
                 self._flag_streaks.clear()
+        return _Decision(
+            acted=acted,
+            phase="mitigated" if self._engaged else "attack" if acted else "benign",
+            flagged=flagged,
+            streak_eligible=streak_eligible,
+        )
 
-        if acted:
-            self._engage_flagged(streak_eligible, sample.cycle, simulator)
+    def _actuate(
+        self, window: _Window, decision: _Decision, simulator: NoCSimulator
+    ) -> None:
+        """Engage and roll back on acted windows; probe releases on clean ones."""
+        cycle = window.sample.cycle
+        if decision.acted:
+            self._engage_flagged(decision.streak_eligible, cycle, simulator)
             self._rollback_stale(
-                set(flagged), sample.cycle, simulator, fresh_clock=fresh_clock
+                set(decision.flagged), cycle, simulator, fresh_clock=window.fresh_clock
             )
-        elif self._engaged and fresh_clock:
-            self._release_ready(sample.cycle, simulator)
+        elif self._engaged and window.fresh_clock:
+            self._release_ready(cycle, simulator)
 
-        if engaged_at_start:
-            phase = "mitigated"
-        elif acted:
-            phase = "attack"
-        else:
-            phase = "benign"
+    def _record_window(
+        self,
+        window: _Window,
+        result: LocalizationResult,
+        convicted: tuple[int, ...],
+        decision: _Decision,
+    ) -> None:
+        """Append the window's record to the report (and to the trace)."""
         self.report.windows.append(
             WindowRecord(
                 index=self._window_index,
-                cycle=sample.cycle,
-                detected=acted,
+                cycle=window.sample.cycle,
+                detected=decision.acted,
                 probability=result.detection_probability,
-                phase=phase,
+                phase=decision.phase,
                 victims=tuple(result.victims),
                 attackers=tuple(result.attackers),
                 restricted=tuple(sorted(self._engaged)),
-                benign_latency=window_stats.latency,
-                benign_delivered=window_stats.benign_delivered,
-                malicious_delivered=window_stats.malicious_delivered,
-                suspected=tuple(convicted),
-                unobservable=tuple(sorted(unobservable)),
-                benign_fresh_latency=window_stats.fresh_latency,
-                benign_fresh_delivered=window_stats.fresh_delivered,
-                benign_backlog_delivered=window_stats.backlog_delivered,
+                benign_latency=window.stats.latency,
+                benign_delivered=window.stats.benign_delivered,
+                malicious_delivered=window.stats.malicious_delivered,
+                suspected=convicted,
+                unobservable=tuple(sorted(window.unobservable)),
+                benign_fresh_latency=window.stats.fresh_latency,
+                benign_fresh_delivered=window.stats.fresh_delivered,
+                benign_backlog_delivered=window.stats.backlog_delivered,
             )
         )
         if BUS.active or METRICS.active:
-            self._trace(
+            BUS.emit(
                 "window",
-                phase=phase,
-                detected=acted,
+                phase=decision.phase,
+                detected=decision.acted,
                 probability=float(result.detection_probability),
                 attackers=sorted(result.attackers),
                 suspected=list(convicted),
                 engaged=sorted(self._engaged),
-                unobservable=unobservable,
+                unobservable=window.unobservable,
             )
+            if METRICS.active:
+                guard_events_counter().inc(kind="window")
         self._window_index += 1
 
     # -- mitigation mechanics ---------------------------------------------------
     def _engage_flagged(
-        self, attackers: list[int], cycle: int, simulator: NoCSimulator
+        self, attackers: tuple[int, ...], cycle: int, simulator: NoCSimulator
     ) -> None:
         """Apply the countermeasure to persistently localized attackers.
 
@@ -562,9 +625,7 @@ class DL2FenceGuard:
                 simulator.network.flush_source_queue(node)
             self._engage_counts[node] = self._engage_counts.get(node, 0) + 1
             self._engaged[node] = _EngagedNode(
-                node=node,
                 previous_limit=previous,
-                engaged_cycle=cycle,
                 # Seed the shadow counter from the suspicion the node built
                 # in the open: the loudest conviction enters quarantine with
                 # the most residual pressure to decay off.
@@ -592,24 +653,14 @@ class DL2FenceGuard:
             # stale clocks run again and innocents release as before.
             for state in self._engaged.values():
                 state.windows_since_flagged = 0
-            self.report.events.append(
-                DefenseEvent(
-                    cycle=cycle,
-                    kind="engaged",
-                    nodes=tuple(sorted(newly_engaged)),
-                    detail=f"limit={limit:g}",
-                    round=self._round,
-                )
+            self._emit(
+                "engaged",
+                cycle,
+                sorted(newly_engaged),
+                f"limit={limit:g}",
+                round=self._round,
+                trace=lambda: {"limit": float(limit)},
             )
-            if BUS.active or METRICS.active:
-                self._trace(
-                    "engaged",
-                    nodes=newly_engaged,
-                    limit=float(limit),
-                    round=self._round,
-                )
-                if BUS.active:
-                    self._count_event("engagements", len(newly_engaged))
 
     def _rollback_stale(
         self,
@@ -640,35 +691,18 @@ class DL2FenceGuard:
                 self._release_node(node, simulator)
                 rolled_back.append(node)
         if rolled_back:
-            self.report.events.append(
-                DefenseEvent(
-                    cycle=cycle,
-                    kind="rolled_back",
-                    nodes=tuple(rolled_back),
-                    detail="no longer localized",
-                )
-            )
-            if BUS.active or METRICS.active:
-                self._trace(
-                    "rolled_back",
-                    nodes=rolled_back,
-                    remaining=len(self._engaged),
-                )
-                if BUS.active:
-                    self._count_event("releases", len(rolled_back))
+            self._emit("rolled_back", cycle, rolled_back, "no longer localized")
             if not self._engaged:
                 # The rollback lifted the last restriction: record a full
                 # release so the report's release_cycle reflects reality.
-                self.report.events.append(
-                    DefenseEvent(
-                        cycle=cycle,
-                        kind="released",
-                        nodes=tuple(rolled_back),
-                        detail="all restrictions rolled back",
-                    )
+                # Its nodes were tallied by the rollback already.
+                self._emit(
+                    "released",
+                    cycle,
+                    rolled_back,
+                    "all restrictions rolled back",
+                    tally=False,
                 )
-                if BUS.active or METRICS.active:
-                    self._trace("released", nodes=rolled_back, remaining=0)
 
     def _release_ready(self, cycle: int, simulator: NoCSimulator) -> None:
         """Release ONE engaged node whose clean-window hold has expired.
@@ -719,23 +753,13 @@ class DL2FenceGuard:
         detail = f"{self._consecutive_clean} clean windows"
         if self._engaged:
             detail += f"; staggered probe, {len(self._engaged)} still fenced"
-        self.report.events.append(
-            DefenseEvent(
-                cycle=cycle,
-                kind="released",
-                nodes=(probe,),
-                detail=detail,
-            )
+        self._emit(
+            "released",
+            cycle,
+            (probe,),
+            detail,
+            trace=lambda: {"clean_windows": self._consecutive_clean},
         )
-        if BUS.active or METRICS.active:
-            self._trace(
-                "released",
-                nodes=(probe,),
-                clean_windows=self._consecutive_clean,
-                remaining=len(self._engaged),
-            )
-            if BUS.active:
-                self._count_event("releases", 1)
 
     def _release_node(self, node: int, simulator: NoCSimulator) -> None:
         state = self._engaged.pop(node)
@@ -839,22 +863,46 @@ class DL2FenceGuard:
                 state.shadow_pressure += 1.0
 
     # -- observability ---------------------------------------------------------
-    def _trace(self, kind: str, **fields) -> None:
-        """Mirror one decision into the trace bus and the metrics registry.
+    def _emit(
+        self,
+        kind: str,
+        cycle: int,
+        nodes: Sequence[int] = (),
+        detail: str = "",
+        round: int = 0,
+        tally: bool = True,
+        trace: Callable[[], dict[str, object]] | None = None,
+    ) -> None:
+        """Record one decision in the report; mirror it while observability is on.
 
-        Call sites gate on ``BUS.active or METRICS.active`` so a fully
-        disabled observability stack never reaches this method (the
-        zero-cost-when-off contract); here each backend re-checks its own
-        switch, since either can be enabled alone.
+        The :class:`DefenseEvent` is always appended.  With tracing on, it
+        is emitted on the bus (the fields ``trace`` returns plus the event's
+        nodes and round when set, and the nodes still fenced after a release;
+        not ``convicted``, which the evidence accumulator traces itself) and,
+        if ``tally``, its nodes are added to the report's ``event_counts``.
+        With metrics on, it is counted (``convicted`` by nodes, every other
+        kind by events).  ``trace`` is only called while tracing, so the
+        extra fields cost nothing when observability is off.
         """
-        BUS.emit(kind, **fields)
+        event = DefenseEvent(
+            cycle=cycle, kind=kind, nodes=tuple(nodes), detail=detail, round=round
+        )
+        self.report.events.append(event)
+        if BUS.active:
+            if kind != "convicted":
+                fields = trace() if trace is not None else {}
+                if event.nodes:
+                    fields["nodes"] = event.nodes
+                if round:
+                    fields["round"] = round
+                if kind in ("rolled_back", "released"):
+                    fields["remaining"] = len(self._engaged)
+                BUS.emit(kind, **fields)
+            if tally and kind in _TALLY_KEYS:
+                self.report.event_counts[_TALLY_KEYS[kind]] += len(event.nodes)
         if METRICS.active:
-            guard_events_counter().inc(kind=kind)
-
-    def _count_event(self, key: str, amount: int = 1) -> None:
-        """Bump the report's deterministic event-count summary (tracing on)."""
-        counts = self.report.event_counts
-        counts[key] = counts.get(key, 0) + amount
+            amount = len(event.nodes) if kind == "convicted" else 1
+            guard_events_counter().inc(amount, kind=kind)
 
     # -- measurement ----------------------------------------------------------
     def _window_latency(self, simulator: NoCSimulator) -> "_WindowStats":

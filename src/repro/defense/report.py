@@ -408,74 +408,34 @@ class DefenseReport:
         """Full deterministic serialization of the defended episode.
 
         Everything the report holds — configuration, per-window records,
-        events and derived metrics — as plain JSON-able types.  NaN
-        latencies become ``None`` so two reports from identically seeded
-        runs compare equal with ``==`` (NaN never equals itself), which the
-        reproducibility tests rely on.
+        events and derived metrics — as plain JSON-able types: the
+        :meth:`to_payload` fields with tuples as lists and NaN latencies as
+        ``None``, so two reports from identically seeded runs compare equal
+        with ``==`` (NaN never equals itself), which the reproducibility
+        tests rely on.
         """
 
-        def scrub(value: float) -> float | None:
-            return None if isinstance(value, float) and math.isnan(value) else value
+        def scrub(value):
+            if isinstance(value, float) and math.isnan(value):
+                return None
+            if isinstance(value, (list, tuple)):
+                return [scrub(item) for item in value]
+            if isinstance(value, dict):
+                return {key: scrub(item) for key, item in value.items()}
+            return value
 
-        return {
-            "policy": {
-                "action": self.policy.action,
-                "throttle_factor": self.policy.throttle_factor,
-                "engage_after": self.policy.engage_after,
-                "release_after": self.policy.release_after,
-                "stale_after": self.policy.stale_after,
-                "flush_queue": self.policy.flush_queue,
-                "reengage_backoff": self.policy.reengage_backoff,
-                "max_engaged_nodes": self.policy.max_engaged_nodes,
-                "release_probe_spacing": self.policy.release_probe_spacing,
-                "adaptive_throttle": self.policy.adaptive_throttle,
-            },
-            "sample_period": self.sample_period,
-            "attack_start": self.attack_start,
-            "attack_end": self.attack_end,
-            "true_attackers": list(self.true_attackers),
-            "windows": [
-                {
-                    "index": w.index,
-                    "cycle": w.cycle,
-                    "detected": w.detected,
-                    "probability": scrub(w.probability),
-                    "phase": w.phase,
-                    "victims": list(w.victims),
-                    "attackers": list(w.attackers),
-                    "restricted": list(w.restricted),
-                    "benign_latency": scrub(w.benign_latency),
-                    "benign_delivered": w.benign_delivered,
-                    "malicious_delivered": w.malicious_delivered,
-                    "suspected": list(w.suspected),
-                    "unobservable": list(w.unobservable),
-                    "benign_fresh_latency": scrub(w.benign_fresh_latency),
-                    "benign_fresh_delivered": w.benign_fresh_delivered,
-                    "benign_backlog_delivered": w.benign_backlog_delivered,
-                }
-                for w in self.windows
-            ],
-            "events": [
-                {
-                    "cycle": e.cycle,
-                    "kind": e.kind,
-                    "nodes": list(e.nodes),
-                    "detail": e.detail,
-                    "round": e.round,
-                }
-                for e in self.events
-            ],
-            "per_attacker_detection_latency": {
-                str(node): value
-                for node, value in self.per_attacker_detection_latency().items()
-            },
-            "per_attacker_time_to_mitigation": {
-                str(node): value
-                for node, value in self.per_attacker_time_to_mitigation().items()
-            },
-            "event_counts": dict(sorted(self.event_counts.items())),
-            "summary": {key: scrub(value) for key, value in self.summary().items()},
+        data = scrub(self.to_payload())
+        data["per_attacker_detection_latency"] = {
+            str(node): value
+            for node, value in self.per_attacker_detection_latency().items()
         }
+        data["per_attacker_time_to_mitigation"] = {
+            str(node): value
+            for node, value in self.per_attacker_time_to_mitigation().items()
+        }
+        data["event_counts"] = dict(sorted(self.event_counts.items()))
+        data["summary"] = scrub(self.summary())
+        return data
 
     # -- lossless (de)serialization -------------------------------------------
     def to_payload(self) -> dict:

@@ -107,7 +107,7 @@ def run_guarded_episode(
     attack_windows: int = 10,
     post_attack_windows: int = 4,
     seed: int = 42,
-    evidence: EvidenceConfig | bool = True,
+    evidence: EvidenceConfig | None = EvidenceConfig(),
     faults: FaultScenario | None = None,
 ) -> DefenseReport:
     """One episode of ``attack`` over a benign workload under a guard.
@@ -225,7 +225,7 @@ class EpisodeTask:
     attack_windows: int
     policy: MitigationPolicy | None = None
     fence: DL2Fence | None = None
-    evidence: EvidenceConfig | bool = True
+    evidence: EvidenceConfig | None = EvidenceConfig()
     faults: FaultScenario | None = None
 
 

@@ -234,7 +234,7 @@ def run_attack_episode(
     attack_windows: int = DEFAULT_ATTACK_WINDOWS,
     post_attack_windows: int = 4,
     seed: int = 42,
-    evidence: EvidenceConfig | bool = True,
+    evidence: EvidenceConfig | None = EvidenceConfig(),
     faults: FaultScenario | None = None,
 ) -> DefenseReport:
     """One guarded episode of ``model`` over a benign workload.
@@ -287,18 +287,13 @@ def _matrix_plan(
     config: ExperimentConfig | None,
     fir: float,
     colluding_fir: float,
-    evidence: EvidenceConfig | bool,
-) -> tuple[tuple[str, ...], EvidenceConfig | bool, dict, dict]:
-    """Validated attack names, resolved evidence, per-mesh experiments and
-    attack suites: everything both matrices key their cache entries by."""
+) -> tuple[tuple[str, ...], dict, dict]:
+    """Validated attack names, per-mesh experiments and attack suites: what
+    both matrices key their cache entries by, beside their own options."""
     attack_names = tuple(attacks) if attacks is not None else tuple(ATTACK_LIBRARY)
     for name in attack_names:
         if name not in ATTACK_LIBRARY:
             raise KeyError(f"unknown attack variant {name!r}")
-    if evidence is True:
-        # Resolve the default up-front so the accumulator's actual knob
-        # values (not the bare flag) enter every cache key.
-        evidence = EvidenceConfig()
     experiments = {
         rows: (
             config.scaled(rows=rows)
@@ -323,7 +318,7 @@ def _matrix_plan(
         }
         for rows, experiment in experiments.items()
     }
-    return attack_names, evidence, experiments, suites
+    return attack_names, experiments, suites
 
 
 def _matrix_fields(report: DefenseReport, baseline_latency: float) -> dict:
@@ -347,7 +342,7 @@ def run_robustness_matrix(
     colluding_fir: float = 0.2,
     attack_windows: int = DEFAULT_ATTACK_WINDOWS,
     training_benchmarks: tuple[str, ...] = ("uniform_random", "tornado"),
-    evidence: EvidenceConfig | bool = True,
+    evidence: EvidenceConfig | None = EvidenceConfig(),
     engine: ExperimentEngine | None = None,
 ) -> list[RobustnessPoint]:
     """Detection-latency / containment / collateral matrix over attack × mesh.
@@ -359,8 +354,8 @@ def run_robustness_matrix(
     generalization of the deployed detector plus the evidence accumulator,
     not memorisation of the attack shape.
     """
-    attack_names, evidence, experiments, suites = _matrix_plan(
-        attacks, rows_values, config, fir, colluding_fir, evidence
+    attack_names, experiments, suites = _matrix_plan(
+        attacks, rows_values, config, fir, colluding_fir
     )
     engine = engine or ExperimentEngine.from_environment()
     payload = {
@@ -437,7 +432,7 @@ def run_chaos_matrix(
     colluding_fir: float = 0.2,
     attack_windows: int = DEFAULT_ATTACK_WINDOWS,
     training_benchmarks: tuple[str, ...] = ("uniform_random", "tornado"),
-    evidence: EvidenceConfig | bool = True,
+    evidence: EvidenceConfig | None = EvidenceConfig(),
     engine: ExperimentEngine | None = None,
 ) -> list[ChaosPoint]:
     """Fault-augmented robustness matrix: attack × mesh × monitor-fault.
@@ -448,8 +443,8 @@ def run_chaos_matrix(
     comparator).  The per-mesh pipeline and its cache entry are shared with
     :func:`run_robustness_matrix`.
     """
-    attack_names, evidence, experiments, suites = _matrix_plan(
-        attacks, rows_values, config, fir, colluding_fir, evidence
+    attack_names, experiments, suites = _matrix_plan(
+        attacks, rows_values, config, fir, colluding_fir
     )
     engine = engine or ExperimentEngine.from_environment()
     # Fault scenarios are topology-dependent (the silent/stuck node picks

@@ -35,6 +35,7 @@ __all__ = [
     "DetectionDataset",
     "LocalizationDataset",
     "DatasetBuilder",
+    "RunTask",
 ]
 
 
@@ -100,6 +101,16 @@ class ScenarioRun:
     @property
     def num_samples(self) -> int:
         return len(self.samples)
+
+
+@dataclass(frozen=True)
+class RunTask:
+    """One independent simulation of the dataset-generation plan."""
+
+    config: DatasetConfig
+    benchmark: str
+    scenario: AttackScenario | None
+    seed: int
 
 
 @dataclass
@@ -217,6 +228,38 @@ class DatasetBuilder:
             topology=self.topology,
         )
 
+    def plan_runs(
+        self,
+        benchmarks: list[str] | None = None,
+        scenarios_per_benchmark: int = 1,
+        attacker_counts: tuple[int, ...] = (1, 2),
+        include_benign: bool = True,
+        seed: int | None = None,
+    ) -> list[RunTask]:
+        """The simulations of :meth:`build_runs`, in order, with their seeds.
+
+        The scenario draws are order-dependent, so all of them are made
+        here; each task then runs independently of the others.
+        """
+        seed = self.config.seed if seed is None else seed
+        if benchmarks is None:
+            benchmarks = benchmark_names()
+        generator = ScenarioGenerator(self.topology, seed=seed)
+        tasks: list[RunTask] = []
+        for b_index, benchmark in enumerate(benchmarks):
+            run_seed = seed + 101 * (b_index + 1)
+            if include_benign:
+                tasks.append(RunTask(self.config, benchmark, None, run_seed))
+            for s_index in range(scenarios_per_benchmark):
+                count = attacker_counts[s_index % len(attacker_counts)]
+                scenario = generator.random_scenario(
+                    num_attackers=count, fir=self.config.fir, benchmark=benchmark
+                )
+                tasks.append(
+                    RunTask(self.config, benchmark, scenario, run_seed + s_index + 1)
+                )
+        return tasks
+
     def build_runs(
         self,
         benchmarks: list[str] | None = None,
@@ -226,26 +269,13 @@ class DatasetBuilder:
         seed: int | None = None,
     ) -> list[ScenarioRun]:
         """Simulate benign and attacked runs for every benchmark."""
-        seed = self.config.seed if seed is None else seed
-        if benchmarks is None:
-            benchmarks = benchmark_names()
-        generator = ScenarioGenerator(self.topology, seed=seed)
-        runs: list[ScenarioRun] = []
-        for b_index, benchmark in enumerate(benchmarks):
-            run_seed = seed + 101 * (b_index + 1)
-            if include_benign:
-                runs.append(self.run_benchmark(benchmark, scenario=None, seed=run_seed))
-            for s_index in range(scenarios_per_benchmark):
-                count = attacker_counts[s_index % len(attacker_counts)]
-                scenario = generator.random_scenario(
-                    num_attackers=count, fir=self.config.fir, benchmark=benchmark
-                )
-                runs.append(
-                    self.run_benchmark(
-                        benchmark, scenario=scenario, seed=run_seed + s_index + 1
-                    )
-                )
-        return runs
+        tasks = self.plan_runs(
+            benchmarks, scenarios_per_benchmark, attacker_counts, include_benign, seed
+        )
+        return [
+            self.run_benchmark(task.benchmark, scenario=task.scenario, seed=task.seed)
+            for task in tasks
+        ]
 
     # -- dataset assembly ---------------------------------------------------------
     def detection_dataset(

@@ -5,12 +5,11 @@ expensive stages through this module:
 
 * **Scenario runs** — the simulated monitor output a dataset is assembled
   from.  :meth:`ExperimentEngine.build_runs` reproduces
-  :meth:`repro.monitor.dataset.DatasetBuilder.build_runs` bit for bit (same
-  scenario draws, same per-run seeds) but executes the independent
+  :meth:`repro.monitor.dataset.DatasetBuilder.build_runs` bit for bit (both
+  simulate the tasks of ``DatasetBuilder.plan_runs``, which makes the
+  order-dependent scenario draws up-front) but executes the independent
   simulations through the :class:`~repro.runtime.parallel.ParallelRunner`
-  and memoises the result on disk.  The scenario draws are made serially
-  up-front — they are cheap and order-dependent — so only the pure
-  simulations fan out.
+  and memoises the result on disk.
 * **Trained pipelines** — :meth:`ExperimentEngine.trained_fence` /
   :meth:`ExperimentEngine.trained_detector` return models loaded from the
   cache when the full training configuration (dataset + architecture +
@@ -38,29 +37,19 @@ from repro.core.config import DL2FenceConfig
 from repro.core.detector import DoSDetector
 from repro.core.localizer import DoSProfileLocalizer
 from repro.core.pipeline import DL2Fence
-from repro.monitor.dataset import DatasetBuilder, DatasetConfig, ScenarioRun
+from repro.monitor.dataset import DatasetBuilder, DatasetConfig, RunTask, ScenarioRun
 from repro.monitor.features import FeatureKind
 from repro.monitor.frames import DirectionalFrame, FrameSample, FrameSet
 from repro.noc.topology import Direction
 from repro.nn.dtype import default_dtype
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.parallel import ArrayBundle, ParallelRunner
-from repro.traffic.scenario import AttackScenario, ScenarioGenerator, benchmark_names
+from repro.traffic.scenario import AttackScenario, benchmark_names
 
 __all__ = ["ExperimentEngine", "RunTask", "fence_cache_payload"]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-@dataclass(frozen=True)
-class RunTask:
-    """One independent simulation of the dataset-generation plan."""
-
-    config: DatasetConfig
-    benchmark: str
-    scenario: AttackScenario | None
-    seed: int
 
 
 def _simulate_run(task: RunTask) -> ScenarioRun:
@@ -206,30 +195,6 @@ def _runs_from_batch_bundle(bundle: ArrayBundle) -> list[ScenarioRun]:
     return runs
 
 
-def _plan_run_tasks(
-    config: DatasetConfig,
-    benchmarks: list[str],
-    scenarios_per_benchmark: int,
-    attacker_counts: tuple[int, ...],
-    include_benign: bool,
-    seed: int,
-) -> list[RunTask]:
-    """The exact task sequence of ``DatasetBuilder.build_runs`` (same seeds)."""
-    generator = ScenarioGenerator(config.topology(), seed=seed)
-    tasks: list[RunTask] = []
-    for b_index, benchmark in enumerate(benchmarks):
-        run_seed = seed + 101 * (b_index + 1)
-        if include_benign:
-            tasks.append(RunTask(config, benchmark, None, run_seed))
-        for s_index in range(scenarios_per_benchmark):
-            count = attacker_counts[s_index % len(attacker_counts)]
-            scenario = generator.random_scenario(
-                num_attackers=count, fir=config.fir, benchmark=benchmark
-            )
-            tasks.append(RunTask(config, benchmark, scenario, run_seed + s_index + 1))
-    return tasks
-
-
 # -- scenario-run (de)serialization -----------------------------------------
 
 _DIRECTION_NAMES = {d: d.value for d in Direction.cardinal()}
@@ -364,16 +329,8 @@ class ExperimentEngine:
         only the first caller simulates them.  Only the missing tasks are
         fanned out across the worker processes.
         """
-        seed = config.seed if seed is None else seed
-        if benchmarks is None:
-            benchmarks = benchmark_names()
-        tasks = _plan_run_tasks(
-            config,
-            list(benchmarks),
-            scenarios_per_benchmark,
-            tuple(attacker_counts),
-            include_benign,
-            seed,
+        tasks = DatasetBuilder(config).plan_runs(
+            benchmarks, scenarios_per_benchmark, attacker_counts, include_benign, seed
         )
         return self.cached_map(
             tasks,

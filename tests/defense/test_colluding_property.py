@@ -79,7 +79,7 @@ class TestColludingBelowThresholdProperty:
             builder,
             DEFAULT_ROBUSTNESS_POLICY,
             lone_flood(colluding_attack),
-            evidence=False,
+            evidence=None,
         )
         detected_windows = sum(1 for window in report.windows if window.detected)
         assert detected_windows < DEFAULT_ROBUSTNESS_POLICY.engage_after

@@ -284,7 +284,7 @@ class TestGuardEvidenceIntegration:
         guard = DL2FenceGuard(
             self.SubThresholdFence(attacker=5),
             MitigationPolicy.quarantine(engage_after=2),
-            evidence=False,
+            evidence=None,
         )
         guard.simulator = simulator
         for index in range(10):

@@ -64,6 +64,22 @@ def drive(script, policy, **guard_kwargs):
     return guard, simulator
 
 
+class TestGuardOptions:
+    @pytest.mark.parametrize("option", ("evidence", "degraded"))
+    @pytest.mark.parametrize("flag", (True, False))
+    def test_boolean_mode_flags_are_rejected(self, option, flag):
+        """Evidence fusion and degraded mode take a config or ``None``; a
+        bare flag would otherwise be read as a config."""
+        with pytest.raises(TypeError, match=option):
+            DL2FenceGuard(ScriptedFence([]), **{option: flag})
+
+    def test_none_disables_both_modes(self):
+        policy = MitigationPolicy.throttle(0.1, engage_after=1)
+        guard, _ = drive([(True, [5])], policy, evidence=None, degraded=None)
+        assert guard.engaged_nodes == [5]
+        assert guard.evidence is None
+
+
 class TestEngagementHysteresis:
     def test_engages_after_consecutive_flagged_windows(self):
         policy = MitigationPolicy.throttle(0.1, engage_after=2)

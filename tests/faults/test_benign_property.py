@@ -10,7 +10,7 @@ Two layers of coverage:
 
 * a plausibility-stub fence (fires only on physically impossible cell
   values — exactly what :class:`CorruptedFrameFault` writes) sweeps every
-  mesh size and both backends cheaply; a ``degraded=False`` leg proves the
+  mesh size and both backends cheaply; a ``degraded=None`` leg proves the
   stub *does* fire without the sanitizer, so the property is not vacuous;
 * the session's real trained pipeline replays every scenario on the small
   mesh under both backends, confirming the learned detector stays quiet on
@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import LocalizationResult
+from repro.defense.degraded import DegradedModeConfig
 from repro.defense.guard import DL2FenceGuard
 from repro.defense.policy import MitigationPolicy
 from repro.faults import dead_link_for, default_fault_suite, node_port_cells
@@ -86,7 +87,7 @@ def benign_guard_run(
     fence=None,
     windows=10,
     period=64,
-    degraded=True,
+    degraded=DegradedModeConfig(),
     data_schedule=None,
 ):
     """A benign-traffic episode with ``scenario_name`` faults; returns guard."""
@@ -145,7 +146,7 @@ class TestStubFenceAcrossMeshes:
     def test_property_is_not_vacuous_without_degraded_mode(self):
         """The stub fence must fire on raw corruption when the sanitizer is
         bypassed — otherwise the scenarios above prove nothing."""
-        guard = benign_guard_run(8, "corrupt", "soa", degraded=False)
+        guard = benign_guard_run(8, "corrupt", "soa", degraded=None)
         assert guard.engaged_nodes != []
 
 

@@ -223,7 +223,7 @@ class TestGuardFaultInvariants:
         guard = DL2FenceGuard(
             FlaggingFence(silent),
             MitigationPolicy.quarantine(engage_after=2),
-            degraded=False,
+            degraded=None,
         )
         monitor = GlobalPerformanceMonitor(MonitorConfig(sample_period=100)).attach(
             simulator

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.obs.bus import serialize_event
+from repro.core.pipeline import LocalizationResult
+from repro.defense.guard import DL2FenceGuard
+from repro.defense.policy import MitigationPolicy
+from repro.monitor.sampler import MonitorConfig
+from repro.noc.simulator import NoCSimulator, SimulationConfig
+from repro.obs.bus import RingBufferSink, serialize_event, trace_session
 from repro.obs.summarize import (
     crosscheck_report,
     load_events,
@@ -12,6 +17,8 @@ from repro.obs.summarize import (
     timeline_lines,
     trace_counts,
 )
+from repro.traffic.flooding import FloodingAttacker, FloodingConfig
+from repro.traffic.synthetic import UniformRandomTraffic
 
 
 def event(kind, episode=0, cycle=100, window=1, **fields):
@@ -124,6 +131,69 @@ class TestCrosscheck:
 
     def test_report_without_counts_checks_event_log_only(self):
         assert crosscheck_report(SAMPLE_EVENTS, self.report(event_counts={})) == []
+
+
+class NoisyOracleFence:
+    """Detects exactly while the attack is active, naming the attackers and,
+    in the first attack window only, one innocent node."""
+
+    def __init__(self, attackers, innocent):
+        self.attackers = list(attackers)
+        self.innocent = innocent
+
+    def process_sample(self, sample, force_localization=False, detection=None):
+        attackers = list(self.attackers) if sample.attack_active else []
+        if attackers and self.innocent is not None:
+            attackers.append(self.innocent)
+            self.innocent = None
+        return LocalizationResult(
+            cycle=sample.cycle,
+            detected=sample.attack_active,
+            detection_probability=1.0 if sample.attack_active else 0.0,
+            attackers=attackers,
+        )
+
+
+class TestRealEpisodeCrosscheck:
+    def test_guarded_episode_trace_agrees_with_report(self):
+        """A traced 6x6 flood episode that runs past the attack's end: the
+        innocent named once is rolled back, the attackers are released
+        once the flood stops, and trace and report agree throughout."""
+        period, warmup = 64, 16
+        simulator = NoCSimulator(SimulationConfig(rows=6, warmup_cycles=warmup, seed=5))
+        topology = simulator.topology
+        simulator.add_source(
+            UniformRandomTraffic(topology, injection_rate=0.05, seed=6)
+        )
+        simulator.add_source(
+            FloodingAttacker(
+                FloodingConfig(
+                    attackers=(35, 3),
+                    victim=1,
+                    start_cycle=warmup + 2 * period,
+                    end_cycle=warmup + 8 * period,
+                ),
+                topology,
+                seed=7,
+            )
+        )
+        guard = DL2FenceGuard(
+            NoisyOracleFence((35, 3), innocent=20),
+            MitigationPolicy.quarantine(
+                engage_after=1, release_after=2, stale_after=2, flush_queue=True
+            ),
+        )
+        with trace_session(RingBufferSink()) as sink:
+            guard.attach(simulator, monitor_config=MonitorConfig(sample_period=period))
+            simulator.run(warmup + 14 * period)
+        events = sink.events()
+        report = guard.report.as_dict()
+        assert crosscheck_report(events, report) == []
+        traced = {event["kind"] for event in events}
+        logged = {event["kind"] for event in report["events"]}
+        assert {"engaged", "rolled_back", "released"} <= traced & logged
+        assert report["event_counts"]["releases"] > 0
+        assert guard.engaged_nodes == []
 
 
 class TestTimeline:
