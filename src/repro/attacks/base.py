@@ -9,9 +9,12 @@ of the system can consume:
 
 * the simulator, through :meth:`AttackModel.build_source`, which returns an
   :class:`AttackSource` traffic source with a **stream-identical** object
-  path (``packets_for_cycle``) and vectorized batch path
-  (``packet_batch_for_cycle``), so episodes reproduce bit for bit under both
-  the object and the structure-of-arrays simulator backends;
+  path (``packets_for_cycle``), vectorized batch path
+  (``packet_batch_for_cycle``) and compiled-driver path
+  (``emission_plan``: the window's per-cycle rates as one table from
+  :meth:`AttackModel.fir_profile_table`, silent cycles marked so they make
+  no draw), all reading the variant's one rate formula, so episodes
+  reproduce bit for bit under every simulator backend and kernel;
 * the defense evaluation, through :attr:`AttackModel.attackers` /
   :meth:`AttackModel.ground_truth_victims` (metrics only — the guard's
   decisions never read them);
@@ -30,6 +33,7 @@ import numpy as np
 
 from repro.noc.packet import Packet
 from repro.noc.routing import xy_route_victims
+from repro.noc.simulator import EmissionPlan
 from repro.noc.topology import MeshTopology
 
 __all__ = ["AttackModel", "AttackSource"]
@@ -53,17 +57,30 @@ class AttackModel(ABC):
         """Aligned ``(sources, victims)`` of every potential injection flow.
 
         One entry per flow that may inject at some point of the attack; the
-        per-cycle intensity of each flow comes from :meth:`fir_profile_at`.
+        per-cycle intensity of each flow comes from :meth:`fir_profile_table`.
         """
 
     @abstractmethod
-    def fir_profile_at(self, rel_cycle: int) -> np.ndarray | None:
-        """Per-flow injection probabilities at ``rel_cycle`` since attack start.
+    def fir_profile_table(
+        self, rel_start: int, rel_end: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-flow injection probabilities of cycles ``[rel_start, rel_end)``
+        since attack start, the variant's one rate formula.
 
-        ``None`` marks a silent cycle (no RNG draw at all — e.g. the off
-        phase of a pulsed flood); otherwise a float array aligned with
-        :meth:`emitters`, entries in [0, 1].
+        Returns ``(rates, silent)``: ``rates[i]`` (aligned with
+        :meth:`emitters`, entries in [0, 1]) is the profile of cycle
+        ``rel_start + i`` and ``silent[i]`` marks a cycle that makes no RNG
+        draw at all (e.g. the off phase of a pulsed flood; its rates are 0).
+        A table must not depend on where a range is split: the compiled
+        window driver asks for one window at a time, the per-cycle path for
+        one cycle.
         """
+
+    def fir_profile_at(self, rel_cycle: int) -> np.ndarray | None:
+        """One cycle of :meth:`fir_profile_table`: the per-flow rates, or
+        ``None`` on a silent cycle."""
+        rates, silent = self.fir_profile_table(rel_cycle, rel_cycle + 1)
+        return None if silent[0] else rates[0]
 
     def emits_between(self, rel_start: int, rel_end: int) -> bool:
         """True when any cycle of ``[rel_start, rel_end)`` can emit.
@@ -253,6 +270,30 @@ class AttackSource:
             return None
         sources, victims = batch
         return sources, victims, self.packet_size_flits, True
+
+    def emission_plan(self) -> EmissionPlan | None:
+        """The compiled window driver's form of :meth:`_draw_batch`: one draw
+        per flow inside the attack window, at the rates of the model's
+        :meth:`~AttackModel.fir_profile_table`."""
+        if type(self) is not AttackSource:
+            return None
+        return EmissionPlan(
+            rng=self.rng,
+            count=self._flow_sources.size,
+            size_flits=self.packet_size_flits,
+            malicious=True,
+            sources=self._flow_sources,
+            targets=self._flow_victims,
+            first=self.start_cycle,
+            last=self.end_cycle,
+            rate_table=self.fir_table,
+        )
+
+    def fir_table(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cycle flow rates and silent marks of cycles ``[start, stop)``
+        (inside the attack window)."""
+        offset = self.start_cycle
+        return self.model.fir_profile_table(start - offset, stop - offset)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -65,8 +65,10 @@ class ColludingFloodAttack(AttackModel):
     def emitters(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self.sources, (self.victim,) * len(self.sources)
 
-    def fir_profile_at(self, rel_cycle: int) -> np.ndarray | None:
-        return np.full(len(self.sources), self.fir, dtype=np.float64)
+    def fir_profile_table(self, rel_start: int, rel_end: int):
+        rows = rel_end - rel_start
+        rates = np.full((rows, len(self.sources)), self.fir, dtype=np.float64)
+        return rates, np.zeros(rows, dtype=bool)
 
     def describe(self) -> str:
         return (

@@ -63,15 +63,21 @@ class MigratingFloodAttack(AttackModel):
 
     def position_at(self, rel_cycle: int) -> int:
         """The hop position flooding at ``rel_cycle`` since attack start."""
-        return self.path[(rel_cycle // self.dwell_cycles) % len(self.path)]
+        return self.path[self._slot(rel_cycle)]
+
+    def _slot(self, rel_cycle):
+        """Index into ``path`` of the position flooding at ``rel_cycle``
+        (an int or an array of cycles)."""
+        return (rel_cycle // self.dwell_cycles) % len(self.path)
 
     def emitters(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self.path, (self.victim,) * len(self.path)
 
-    def fir_profile_at(self, rel_cycle: int) -> np.ndarray | None:
-        profile = np.zeros(len(self.path), dtype=np.float64)
-        profile[(rel_cycle // self.dwell_cycles) % len(self.path)] = self.fir
-        return profile
+    def fir_profile_table(self, rel_start: int, rel_end: int):
+        rel = np.arange(rel_start, rel_end, dtype=np.int64)
+        rates = np.zeros((rel.size, len(self.path)), dtype=np.float64)
+        rates[np.arange(rel.size), self._slot(rel)] = self.fir
+        return rates, np.zeros(rel.size, dtype=bool)
 
     def describe(self) -> str:
         return (

@@ -71,8 +71,11 @@ class OnRouteFloodAttack(AttackModel):
             (self.victim, self.victim),
         )
 
-    def fir_profile_at(self, rel_cycle: int) -> np.ndarray | None:
-        return np.array([self.primary_fir, self.onroute_fir], dtype=np.float64)
+    def fir_profile_table(self, rel_start: int, rel_end: int):
+        rows = rel_end - rel_start
+        rates = np.empty((rows, 2), dtype=np.float64)
+        rates[:] = (self.primary_fir, self.onroute_fir)
+        return rates, np.zeros(rows, dtype=bool)
 
     def validate(self, topology: MeshTopology) -> None:
         super().validate(topology)

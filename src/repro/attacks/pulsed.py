@@ -75,10 +75,12 @@ class PulsedFloodAttack(AttackModel):
     def emitters(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self.attackers, (self.victim,) * len(self.attackers)
 
-    def fir_profile_at(self, rel_cycle: int) -> np.ndarray | None:
-        if (rel_cycle + self.phase) % self.period >= self.on_cycles:
-            return None
-        return np.full(len(self.attackers), self.fir, dtype=np.float64)
+    def fir_profile_table(self, rel_start: int, rel_end: int):
+        rel = np.arange(rel_start, rel_end, dtype=np.int64)
+        silent = (rel + self.phase) % self.period >= self.on_cycles
+        rates = np.full((rel.size, len(self.attackers)), self.fir, dtype=np.float64)
+        rates[silent] = 0.0
+        return rates, silent
 
     def emits_between(self, rel_start: int, rel_end: int) -> bool:
         """Any burst inside ``[rel_start, rel_end)``: modular interval overlap."""

@@ -54,13 +54,19 @@ class RampingFloodAttack(AttackModel):
 
     def fir_at(self, rel_cycle: int) -> float:
         """Scalar FIR of the ramp at ``rel_cycle`` since attack start."""
-        if rel_cycle >= self.ramp_cycles:
-            return self.fir_peak
-        span = self.fir_peak - self.fir_start
-        return self.fir_start + span * (rel_cycle / self.ramp_cycles)
+        rates, _ = self.fir_profile_table(rel_cycle, rel_cycle + 1)
+        return float(rates[0, 0])
 
-    def fir_profile_at(self, rel_cycle: int) -> np.ndarray | None:
-        return np.full(len(self.attackers), self.fir_at(rel_cycle), dtype=np.float64)
+    def fir_profile_table(self, rel_start: int, rel_end: int):
+        rel = np.arange(rel_start, rel_end, dtype=np.int64)
+        span = self.fir_peak - self.fir_start
+        fir = np.where(
+            rel >= self.ramp_cycles,
+            self.fir_peak,
+            self.fir_start + span * (rel / self.ramp_cycles),
+        )
+        rates = np.repeat(fir[:, None], len(self.attackers), axis=1)
+        return rates, np.zeros(rel.size, dtype=bool)
 
     def describe(self) -> str:
         return (

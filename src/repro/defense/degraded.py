@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.faults.base import clone_sample, node_port_cells
 from repro.faults.monitor import DETOUR_KEY, UNOBSERVABLE_KEY
-from repro.monitor.features import FeatureKind
+from repro.monitor.features import FeatureKind, frame_shape
 from repro.monitor.frames import FrameSample
 from repro.noc.topology import Direction, MeshTopology
 from repro.obs.bus import BUS
@@ -156,15 +156,46 @@ class WindowSanitizer:
         self.topology = topology
         self.config = config or DegradedModeConfig()
         self.sample_period = sample_period
-        self._cells = [
-            node_port_cells(topology, node) for node in range(topology.num_nodes)
-        ]
+        self._build_cell_index()
         self._streaks = np.zeros(topology.num_nodes, dtype=np.int64)
-        self._stuck: set[int] = set()
-        #: Previous delivered raw (clamped, unmasked) signature per node.
-        self._previous: list[tuple | None] = [None] * topology.num_nodes
+        self._stuck = np.zeros(topology.num_nodes, dtype=bool)
+        #: Previous delivered raw (clamped, unmasked) signatures, one row per
+        #: node (None before the first window).
+        self._previous: np.ndarray | None = None
         #: Previous sanitized frames, for corrupted-cell imputation.
         self._last_frames: dict[tuple, np.ndarray] = {}
+
+    def _build_cell_index(self) -> None:
+        """Index arrays of every node's frame cells.
+
+        A window's eight frames (VCO then BOC, cardinal order) are
+        flattened into one vector with a trailing 0.0; ``_gather`` picks
+        each node's signature from it, one row per node padded with that
+        0.0 to the widest node (a padded cell always repeats and is never
+        non-zero, so it cannot change a verdict).  ``_owner[direction]``
+        names the node owning each cell of that direction's frame.
+        """
+        topology = self.topology
+        shapes = {d: frame_shape(topology, d) for d in Direction.cardinal()}
+        offsets, total = {}, 0
+        for kind in (FeatureKind.VCO, FeatureKind.BOC):
+            for direction in Direction.cardinal():
+                offsets[kind, direction] = total
+                total += shapes[direction][0] * shapes[direction][1]
+        self._owner = {d: np.zeros(shape, dtype=np.int64) for d, shape in shapes.items()}
+        signatures = []
+        for node in range(topology.num_nodes):
+            signature = []
+            for direction, row, col in node_port_cells(topology, node):
+                self._owner[direction][row, col] = node
+                width = shapes[direction][1]
+                for kind in (FeatureKind.VCO, FeatureKind.BOC):
+                    signature.append(offsets[kind, direction] + row * width + col)
+            signatures.append(signature)
+        widest = max((len(signature) for signature in signatures), default=0)
+        self._gather = np.full((topology.num_nodes, widest), total, dtype=np.int64)
+        for node, signature in enumerate(signatures):
+            self._gather[node, : len(signature)] = signature
 
     # -- plausibility --------------------------------------------------------
     def _ceiling(self, kind: FeatureKind) -> float:
@@ -202,36 +233,36 @@ class WindowSanitizer:
         # Stuck-signature detection on the clamped (pre-mask) values: the
         # raw stream keeps being compared even while a node is held stuck,
         # which is what lets a healed counter rejoin the observable set.
-        for node in range(self.topology.num_nodes):
-            signature = tuple(
-                float(
-                    (sample.vco if kind is FeatureKind.VCO else sample.boc)
-                    .frames[direction]
-                    .values[row, col]
-                )
-                for direction, row, col in self._cells[node]
-                for kind in (FeatureKind.VCO, FeatureKind.BOC)
+        # A signature repeats when every cell equals the previous window's
+        # (NaN never does, 0.0 == -0.0), and counts while any cell is non-zero.
+        flat = np.concatenate(
+            [
+                frame_set.frames[direction].values.ravel()
+                for frame_set in (sample.vco, sample.boc)
+                for direction in Direction.cardinal()
+            ]
+            + [np.zeros(1)]
+        )
+        signatures = flat[self._gather]
+        previous, self._previous = self._previous, signatures
+        if previous is None:
+            repeated = np.zeros(self.topology.num_nodes, dtype=bool)
+        else:
+            repeated = (signatures == previous).all(axis=1) & (signatures != 0.0).any(
+                axis=1
             )
-            previous = self._previous[node]
-            self._previous[node] = signature
-            if (
-                previous is not None
-                and signature == previous
-                and any(value != 0.0 for value in signature)
-            ):
-                self._streaks[node] += 1
-            else:
-                self._streaks[node] = 0
-                self._stuck.discard(node)
-            if self._streaks[node] >= self.config.stuck_after - 1:
-                self._stuck.add(node)
+        self._streaks = np.where(repeated, self._streaks + 1, 0)
+        self._stuck = (self._stuck & repeated) | (
+            self._streaks >= self.config.stuck_after - 1
+        )
 
         # Mask the cells of every stuck node: frozen counters are noise the
         # localizer must not see (and must not convict on).
-        for node in self._stuck:
-            for direction, row, col in self._cells[node]:
-                sample.vco.frames[direction].values[row, col] = 0.0
-                sample.boc.frames[direction].values[row, col] = 0.0
+        if self._stuck.any():
+            for direction, owner in self._owner.items():
+                masked = self._stuck[owner]
+                sample.vco.frames[direction].values[masked] = 0.0
+                sample.boc.frames[direction].values[masked] = 0.0
 
         for frame_set in (sample.vco, sample.boc):
             for direction in Direction.cardinal():
@@ -241,7 +272,7 @@ class WindowSanitizer:
 
         health = WindowHealth(
             declared_silent=declared,
-            stuck=frozenset(self._stuck),
+            stuck=frozenset(np.flatnonzero(self._stuck).tolist()),
             imputed_cells=imputed,
             detour_carriers=detour,
         )

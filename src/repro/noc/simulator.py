@@ -5,6 +5,20 @@ mesh cycle by cycle, asks every attached traffic source (benign workloads and
 the FDoS attacker) which packets to create, and lets observers — such as the
 global performance monitor of :mod:`repro.monitor` — sample runtime features
 at a fixed period.
+
+:meth:`NoCSimulator.step` is the per-cycle path: every source emits through
+NumPy, the network ingests and steps, observers fire.  On the structure-of-
+arrays backend with the compiled kernel, :meth:`NoCSimulator.run` instead
+hands whole windows to the compiled window driver
+(:class:`~repro.noc.soa_kernel.WindowDriver`): one C call per window runs
+every cycle up to the next observer sample, scheduled data fault or the end
+of the run, drawing each source's packets from the source's own generator
+as its :class:`EmissionPlan` describes.  Observers, throttling and fault
+activation stay in Python at the window boundaries, so both paths produce
+the same packets, frames and RNG end states.  ``step()`` remains the path
+(and the oracle) for the NumPy kernel, the object backend, sources without
+an emission plan (PARSEC), caller-built packets in flight and meshes past
+the route-table cut-over.
 """
 
 from __future__ import annotations
@@ -12,15 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
+import numpy as np
+
 from repro.noc.backend import BACKENDS, build_network, resolve_backend
 from repro.noc.packet import Packet
 from repro.noc.route_provider import RouteProvider
+from repro.noc.soa_kernel import WindowDriver
 from repro.noc.stats import LatencyStats
 from repro.noc.topology import MeshTopology
 from repro.obs.bus import BUS
 
 __all__ = [
     "DataFaultSchedule",
+    "EmissionPlan",
     "EpisodeHooks",
     "NoCSimulator",
     "SimulationConfig",
@@ -38,6 +56,47 @@ class TrafficSource(Protocol):
     def packets_for_cycle(self, cycle: int) -> Iterable[Packet]:
         """Packets created during ``cycle`` (may be empty)."""
         ...
+
+
+@dataclass(frozen=True)
+class EmissionPlan:
+    """How a traffic source draws its packets, for the compiled window driver.
+
+    A source that can be expressed returns one from ``emission_plan()``.
+    On every cycle of ``[first, last)`` that emits, the source makes
+    ``count`` draws ``rng.random(count)`` and emits one packet per draw
+    below its rate, in draw order: from ``sources[i]`` (the draw index
+    itself when ``None``) to ``targets[i]``; with ``targets=None`` all
+    kept draws then take their destinations from one
+    ``rng.integers(0, count - 1, size=k)`` call, skipping over the source
+    (uniform random over the other nodes).  Packets whose destination is
+    their source are dropped.
+
+    The per-draw rate is the constant ``rate`` (``0.0`` draws nothing), or,
+    with ``rate_table``, row ``c - start`` of ``rate_table(start, stop)``:
+    ``(rates, silent)`` with ``rates`` of shape ``(stop - start, count)``
+    and ``silent`` marking cycles that draw nothing at all.  A source with a
+    ``packets_generated`` counter has it advanced by every kept draw.
+    """
+
+    rng: object
+    count: int
+    size_flits: int
+    malicious: bool
+    rate: float = 0.0
+    sources: object = None
+    targets: object = None
+    first: int = 0
+    last: int | None = None
+    rate_table: Callable | None = None
+
+    def fits(self, nodes: int) -> bool:
+        """Whether every packet the plan can emit is valid on a mesh of
+        ``nodes`` nodes (the compiled ingress does not check node ids)."""
+        if self.size_flits < 1 or (self.sources is None and self.count > nodes):
+            return False
+        ids = [np.asarray(a) for a in (self.sources, self.targets) if a is not None]
+        return all(((a >= 0) & (a < nodes)).all() for a in ids)
 
 
 @dataclass
@@ -242,6 +301,7 @@ class NoCSimulator(EpisodeHooks, DataFaultSchedule):
         # transfer, one vectorized hand-off per source replaces the
         # per-packet enqueue loop (same packets, same RNG stream).
         self._batch_ingress = hasattr(self.network, "enqueue_batch")
+        self._sources_version = 0
         self.sources = ()
         self.cycle = 0
         self._observers: list[tuple[int, Callable[["NoCSimulator"], None]]] = []
@@ -261,6 +321,7 @@ class NoCSimulator(EpisodeHooks, DataFaultSchedule):
     def sources(self, sources) -> None:
         self._sources = list(sources)
         self._emitters = [self._emitter(source) for source in self._sources]
+        self._sources_version += 1
 
     def _emitter(self, source: TrafficSource):
         """``(batch_fn, packets_fn)`` of one source, resolved once when it is
@@ -276,6 +337,24 @@ class NoCSimulator(EpisodeHooks, DataFaultSchedule):
         """Attach a traffic source (benign workload or attacker)."""
         self._sources.append(source)
         self._emitters.append(self._emitter(source))
+        self._sources_version += 1
+
+    def _window_driver(self) -> WindowDriver | None:
+        """The compiled window driver of the attached sources, or None when
+        the network cannot take one or a source has no valid emission plan."""
+        takes_driver = getattr(self.network, "takes_window_driver", None)
+        if takes_driver is None or not takes_driver():
+            return None
+        plans = []
+        for source in self._sources:
+            plan_for = getattr(source, "emission_plan", None)
+            plan = plan_for() if plan_for is not None else None
+            # An invalid plan (a source built for a bigger mesh) falls back
+            # to step(), whose checked ingress raises when it emits.
+            if plan is None or not plan.fits(self.topology.num_nodes):
+                return None
+            plans.append((source, plan))
+        return WindowDriver(plans)
 
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
@@ -296,19 +375,60 @@ class NoCSimulator(EpisodeHooks, DataFaultSchedule):
             for packet in packets_fn(cycle):
                 network.enqueue_packet(packet)
         network.step(cycle)
-        post_warmup = self.cycle - self.config.warmup_cycles
-        if post_warmup >= 0:
-            for period, callback in self._observers:
-                if post_warmup > 0 and post_warmup % period == 0:
-                    callback(self)
+        self._notify_observers()
         self.cycle += 1
 
+    def _notify_observers(self) -> None:
+        """Fire the observers due at the current cycle (after its step)."""
+        post_warmup = self.cycle - self.config.warmup_cycles
+        if post_warmup > 0:
+            for period, callback in self._observers:
+                if post_warmup % period == 0:
+                    callback(self)
+
+    def _window_stop(self, end: int) -> int:
+        """End (exclusive) of the window starting at the current cycle: the
+        cycle after the next observer sample, the next scheduled data
+        fault, or ``end``."""
+        stop = end
+        warmup = self.config.warmup_cycles
+        for period, _ in self._observers:
+            # First sample cycle at or after this one: warmup + k * period, k >= 1.
+            k = max(1, -(-(self.cycle - warmup) // period))
+            stop = min(stop, warmup + k * period + 1)
+        if self._pending_data_faults:
+            stop = min(stop, self._pending_data_faults[0][0])
+        return stop
+
     def run(self, cycles: int) -> None:
-        """Advance the simulation by ``cycles`` cycles."""
+        """Advance the simulation by ``cycles`` cycles.
+
+        Window by window through the compiled driver when the network and
+        every source support it (see the module docstring), else one
+        :meth:`step` per cycle; both give the same result.
+        """
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
-        for _ in range(cycles):
-            self.step()
+        end = self.cycle + cycles
+        version = None
+        while self.cycle < end:
+            if version != self._sources_version:
+                # Plans capture each source's generator: rebuilt per run and
+                # whenever an observer changes the sources.
+                version = self._sources_version
+                driver = self._window_driver()
+            if driver is None:
+                self.step()
+                continue
+            if self._pending_data_faults:
+                self._activate_due_faults(self.cycle)
+            stop = self._window_stop(end)
+            if not self.network.run_window(driver, self.cycle, stop):
+                self.step()
+                continue
+            self.cycle = stop - 1
+            self._notify_observers()
+            self.cycle = stop
 
     def drain(self, max_cycles: int = 10_000) -> int:
         """Run with no new injection until all in-flight traffic is delivered.

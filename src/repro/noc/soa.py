@@ -547,9 +547,9 @@ class SoAMeshNetwork(EpisodeSurface):
         self.vc_depth = vc_depth
         self.injection_bandwidth = injection_bandwidth
         self.source_queue_capacity = source_queue_capacity
-        # Label-bound metric handles, created on first metered step().
-        self._phase_series = None
-        # Per-cycle kernel binding (see soa_step._bind), resolved on the
+        # Label-bound metric handles by phase, created on first metered use.
+        self._phase_series: dict = {}
+        # Compiled kernel binding (see soa_step.compiled), resolved on the
         # first kernel call.
         self._kernel = None
 
@@ -876,25 +876,60 @@ class SoAMeshNetwork(EpisodeSurface):
         for stats in self._lane_stats:
             stats.cycles = cycle + 1
 
+    def takes_window_driver(self) -> bool:
+        """Whether :meth:`run_window` can serve this network: one episode on
+        the compiled kernel (not the NumPy one, and the build succeeded)
+        with a route table (not past the cut-over)."""
+        if self.episodes != 1:
+            return False
+        kernel = soa_step.compiled(self)
+        return kernel is not None and kernel.routes
+
+    def run_window(self, driver, cycle: int, stop: int) -> bool:
+        """Advance through cycles ``[cycle, stop)`` in one compiled call.
+
+        Per cycle the driver's emitters (a
+        :class:`~repro.noc.soa_kernel.WindowDriver`) draw and queue their
+        packets, then inject, switch and the occupancy accumulation run,
+        in :meth:`step`'s order.  Only for a network that
+        :meth:`takes_window_driver`; returns False, having run nothing,
+        while caller-built packets are in flight.
+        """
+        if self._registry.in_flight_callers:
+            return False
+        kernel = soa_step.compiled(self)
+        if METRICS.active:
+            start = perf_counter()
+            driver.advance(self, kernel, cycle, stop)
+            self._phase("window").observe(perf_counter() - start)
+        else:
+            driver.advance(self, kernel, cycle, stop)
+        self._steps += stop - cycle
+        for stats in self._lane_stats:
+            stats.cycles = stop
+        return True
+
+    def _phase(self, phase: str):
+        """The ``repro_sim_phase_seconds`` series of ``phase`` on this backend."""
+        series = self._phase_series.get(phase)
+        if series is None:
+            series = self._phase_series[phase] = sim_phase_histogram().series(
+                backend=self.backend_name, phase=phase
+            )
+        return series
+
     def _advance(self, cycle: int) -> None:
         """Both kernel phases (timed per phase when metrics are on), then the
         Garnet-style windowed occupancy: this cycle's occupied fraction per
         port, accumulated exactly as the object backend's per-port sweep."""
         if METRICS.active:
-            series = self._phase_series
-            if series is None:
-                hist = sim_phase_histogram()
-                series = self._phase_series = (
-                    hist.series(backend=self.backend_name, phase="inject"),
-                    hist.series(backend=self.backend_name, phase="switch"),
-                )
             start = perf_counter()
             soa_step.inject(self, cycle)
             mid = perf_counter()
             soa_step.switch(self, cycle)
             end = perf_counter()
-            series[0].observe(mid - start)
-            series[1].observe(end - mid)
+            self._phase("inject").observe(mid - start)
+            self._phase("switch").observe(end - mid)
         else:
             soa_step.inject(self, cycle)
             soa_step.switch(self, cycle)

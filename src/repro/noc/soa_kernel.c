@@ -21,12 +21,29 @@
  * wormhole direction).  Networks without a route table are switched by the
  * NumPy kernel.
  *
+ * The window driver (soa_run) strings whole cycles together -- emit every
+ * traffic source, ingress, inject, switch, accumulate occupancy -- up to a
+ * boundary the caller picks, so the caller returns to Python once per
+ * sampling window instead of once per cycle.  Emitters draw from each
+ * source's own NumPy bit generator through NumPy's distribution code
+ * (libnpyrandom.a), so the streams equal NumPy's by construction.  The
+ * driver knows nothing of episodes: it runs one network, episode 0.
+ *
  * Flit words: packet_id << 21 | is_tail << 20 | flit_index.
  * Flat VC id:  q = (node * 5 + port_direction) * num_vcs + vc.
  */
 
+#include <stdbool.h>
 #include <stdint.h>
 #include <string.h>
+
+#include "numpy/random/bitgen.h"
+
+/* NumPy's own distribution code, linked from numpy/random/lib/libnpyrandom.a
+ * (the prototypes of numpy/random/distributions.h, which needs Python.h). */
+void random_standard_uniform_fill(bitgen_t *state, intptr_t cnt, double *out);
+void random_bounded_uint64_fill(bitgen_t *state, uint64_t off, uint64_t rng,
+                                intptr_t cnt, bool use_masked, uint64_t *out);
 
 #define FIDX_MASK ((INT64_C(1) << 20) - 1)
 #define TAIL_BIT (INT64_C(1) << 20)
@@ -60,6 +77,7 @@ typedef struct {
     int64_t dynamic;    /* 1 when the fault-aware route3 table is active */
     int64_t reg_capacity; /* rows allocated per registry column */
     int64_t in_capacity;  /* entries of the ingress input buffers */
+    int64_t occ_exact;    /* 1: occupancy sums as integers (num_vcs a power of 2) */
     /* virtual channels and ports */
     int64_t *vc_slots;
     int16_t *vc_head;
@@ -71,6 +89,8 @@ typedef struct {
     int64_t *buf_writes;
     int64_t *buf_reads;
     int64_t *occupied;
+    int64_t *occ_sum_int;  /* windowed occupancy, exact integer form */
+    double *occ_sum;       /* windowed occupancy, float form */
     /* source queues and injection limits */
     int64_t *sq_flat;
     int64_t *sq_head;
@@ -116,37 +136,21 @@ int64_t soa_state_size(void) { return (int64_t)sizeof(SoaState); }
 int64_t soa_candidate_size(void) { return (int64_t)sizeof(Candidate); }
 int64_t soa_registry_layout(void) { return REG_COLUMNS * 256 + NUM_COUNTS; }
 
-/* Packet ingress: queue ``count`` packets of ``size`` flits created at
- * ``cycle``, read from in_src / in_dst (episode-local node ids) and, when
- * ``lane`` < 0, from in_lane (else every packet belongs to episode ``lane``).
- * Packets are taken in order with the per-packet semantics of
- * enqueue_packet, so duplicate sources in one batch see each other: a pair
- * unroutable from the start state, or a source queue without room for the
- * whole packet, counts one drop on the packet's episode.  An accepted packet
- * appends a registry row and its flits to the source-queue ring.
- *
- * Returns the number of packets accepted; -1 (no side effect) when the
- * registry has no room for ``count`` more rows or the input buffers are too
- * small, -2 (no side effect) when an id is out of range. */
-int64_t soa_ingress(SoaState *s, int64_t count, int64_t lane, int64_t size,
-                    int64_t cycle, int64_t malicious) {
+/* The accept loop of soa_ingress, on checked input (registry room for
+ * ``count`` rows, ids in range).  ``lanes`` is read only when ``lane`` < 0. */
+static int64_t queue_packets(SoaState *s, int64_t count, int64_t lane,
+                             const int64_t *lanes, const int64_t *srcs,
+                             const int64_t *dsts, int64_t size, int64_t cycle,
+                             int64_t malicious) {
     const int64_t n = s->episode_nodes;
-    if (s->reg_len[0] + count > s->reg_capacity || count > s->in_capacity) return -1;
-    for (int64_t i = 0; i < count; i++) {
-        const int64_t ep = lane >= 0 ? lane : s->in_lane[i];
-        if (ep < 0 || ep >= s->episodes || s->in_src[i] < 0 || s->in_src[i] >= n
-            || s->in_dst[i] < 0 || s->in_dst[i] >= n)
-            return -2;
-    }
-    if (size < 1) return -2;
     const int64_t cap = s->capacity;
     const int64_t rc = s->reg_capacity;
     int64_t *reg = s->reg;
     int64_t accepted = 0;
     for (int64_t i = 0; i < count; i++) {
-        const int64_t ep = lane >= 0 ? lane : s->in_lane[i];
-        const int64_t src = s->in_src[i];
-        const int64_t dst = s->in_dst[i];
+        const int64_t ep = lane >= 0 ? lane : lanes[i];
+        const int64_t src = srcs[i];
+        const int64_t dst = dsts[i];
         const int64_t node = ep * n + src;
         int64_t *cnt = s->counts + ep * NUM_COUNTS;
         if (s->routable && !s->routable[src * n + dst]) {
@@ -183,6 +187,33 @@ int64_t soa_ingress(SoaState *s, int64_t count, int64_t lane, int64_t size,
         accepted++;
     }
     return accepted;
+}
+
+/* Packet ingress: queue ``count`` packets of ``size`` flits created at
+ * ``cycle``, read from in_src / in_dst (episode-local node ids) and, when
+ * ``lane`` < 0, from in_lane (else every packet belongs to episode ``lane``).
+ * Packets are taken in order with the per-packet semantics of
+ * enqueue_packet, so duplicate sources in one batch see each other: a pair
+ * unroutable from the start state, or a source queue without room for the
+ * whole packet, counts one drop on the packet's episode.  An accepted packet
+ * appends a registry row and its flits to the source-queue ring.
+ *
+ * Returns the number of packets accepted; -1 (no side effect) when the
+ * registry has no room for ``count`` more rows or the input buffers are too
+ * small, -2 (no side effect) when an id is out of range. */
+int64_t soa_ingress(SoaState *s, int64_t count, int64_t lane, int64_t size,
+                    int64_t cycle, int64_t malicious) {
+    const int64_t n = s->episode_nodes;
+    if (s->reg_len[0] + count > s->reg_capacity || count > s->in_capacity) return -1;
+    for (int64_t i = 0; i < count; i++) {
+        const int64_t ep = lane >= 0 ? lane : s->in_lane[i];
+        if (ep < 0 || ep >= s->episodes || s->in_src[i] < 0 || s->in_src[i] >= n
+            || s->in_dst[i] < 0 || s->in_dst[i] >= n)
+            return -2;
+    }
+    if (size < 1) return -2;
+    return queue_packets(s, count, lane, s->in_lane, s->in_src, s->in_dst, size,
+                         cycle, malicious);
 }
 
 /* First unallocated VC of ``port``, or num_vcs when every VC is taken. */
@@ -405,4 +436,136 @@ int64_t soa_switch(SoaState *s, int64_t cycle) {
         s->vc_down[src] = val & TAIL_BIT ? -1 : (int32_t)dst;
     }
     return ejected;
+}
+
+/* ---- window driver ------------------------------------------------------ */
+
+/* One traffic source of the window driver.  On each cycle it may emit, it
+ * makes ``count`` uniform draws -- one per mesh node, or one per attack
+ * flow: NumPy's ``rng.random(count)`` -- and keeps the draw indices below
+ * their rate, in ascending order.  A uniform-random source then draws all
+ * kept destinations in one bounded-integer call (NumPy's
+ * ``rng.integers(0, span, size=k)``), skipping over the source itself; the
+ * others read a destination per draw index.  Every field is 8 bytes wide. */
+typedef struct {
+    int64_t count;      /* draws per emitting cycle */
+    int64_t size;       /* flits per packet */
+    int64_t malicious;
+    int64_t first;      /* first cycle that may emit */
+    int64_t last;       /* one past the last cycle that may emit */
+    int64_t span;       /* uniform-random destinations: mesh nodes - 1, else 0 */
+    int64_t rate_base;  /* cycle of row 0 of ``rates`` */
+    int64_t rate_rows;  /* rows of ``rates`` */
+    int64_t generated;  /* packets drawn, summed over cycles (caller resets) */
+    int64_t pending;    /* packets of the current cycle awaiting ingress */
+    double rate;        /* per-draw rate when ``rates`` is NULL; 0 draws nothing */
+    bitgen_t *bitgen;
+    const int64_t *sources; /* source node per draw index, NULL: the index */
+    const int64_t *targets; /* destination per draw index, NULL: uniform random */
+    const double *rates;    /* (rate_rows, count) per-cycle rates, or NULL */
+    const uint8_t *silent;  /* per rate row: 1 when that cycle draws nothing */
+    double *uniform;        /* scratch, count entries */
+    uint64_t *bounded;      /* scratch, count entries */
+    int64_t *out_src;       /* the current cycle's packets, count entries */
+    int64_t *out_dst;
+} Emitter;
+
+/* The emitters of one network and the driver's resume state: a call that
+ * stops for registry growth leaves the stopped cycle's draws pending, and
+ * the next call queues them instead of drawing again. */
+typedef struct {
+    int64_t count;      /* emitters */
+    int64_t pending;    /* 1 while the current cycle's draws await ingress */
+    int64_t need;       /* registry rows the pending cycle may take */
+    Emitter *emitters;
+} Driver;
+
+int64_t soa_emitter_size(void) { return (int64_t)sizeof(Emitter); }
+int64_t soa_driver_size(void) { return (int64_t)sizeof(Driver); }
+
+/* Draw one cycle of ``e``; returns the packets it emits, or -1 when the
+ * rate table does not cover ``cycle`` (nothing drawn). */
+static int64_t emit(Emitter *e, int64_t cycle) {
+    e->pending = 0;
+    if (cycle < e->first || cycle >= e->last) return 0;
+    const double *rates = NULL;
+    if (e->rates) {
+        const int64_t row = cycle - e->rate_base;
+        if (row < 0 || row >= e->rate_rows) return -1;
+        if (e->silent[row]) return 0;
+        rates = e->rates + row * e->count;
+    } else if (e->rate == 0.0) {
+        return 0;
+    }
+    random_standard_uniform_fill(e->bitgen, e->count, e->uniform);
+    /* Kept draw indices go to out_dst first, then become packets in place
+     * (the write index never passes the read index). */
+    int64_t drawn = 0;
+    for (int64_t i = 0; i < e->count; i++)
+        if (e->uniform[i] < (rates ? rates[i] : e->rate)) e->out_dst[drawn++] = i;
+    e->generated += drawn;
+    if (drawn == 0) return 0;
+    if (e->span)
+        random_bounded_uint64_fill(e->bitgen, 0, (uint64_t)(e->span - 1), drawn,
+                                   false, e->bounded);
+    int64_t kept = 0;
+    for (int64_t j = 0; j < drawn; j++) {
+        const int64_t i = e->out_dst[j];
+        const int64_t src = e->sources ? e->sources[i] : i;
+        int64_t dst;
+        if (e->targets) {
+            dst = e->targets[i];
+        } else {
+            dst = (int64_t)e->bounded[j];
+            dst += dst >= src;
+        }
+        if (dst == src) continue; /* self-traffic never enters the network */
+        e->out_src[kept] = src;
+        e->out_dst[kept] = dst;
+        kept++;
+    }
+    e->pending = kept;
+    return kept;
+}
+
+/* Run cycles [cycle, stop): per cycle, every emitter in order draws and its
+ * packets are queued (episode 0), then the inject and switch phases run and
+ * the windowed occupancy accumulates -- the order of one per-cycle step.
+ * Returns ``stop``; or the cycle it stopped at when the registry has no room
+ * for that cycle's packets (the draws stay pending: grow the registry, then
+ * call again from the returned cycle); -1 when an unroutable head reached
+ * the switch; -2 when a rate table does not cover a cycle. */
+int64_t soa_run(SoaState *s, Driver *d, int64_t cycle, int64_t stop) {
+    const int64_t num_ports = s->num_nodes * 5;
+    for (; cycle < stop; cycle++) {
+        if (!d->pending) {
+            int64_t need = 0;
+            for (int64_t i = 0; i < d->count; i++) {
+                const int64_t packets = emit(d->emitters + i, cycle);
+                if (packets < 0) return -2;
+                need += packets;
+            }
+            d->pending = 1;
+            d->need = need;
+        }
+        if (s->reg_len[0] + d->need > s->reg_capacity) return cycle;
+        for (int64_t i = 0; i < d->count; i++) {
+            Emitter *e = d->emitters + i;
+            if (e->pending)
+                queue_packets(s, e->pending, 0, NULL, e->out_src, e->out_dst, e->size,
+                              cycle, e->malicious);
+            e->pending = 0;
+        }
+        d->pending = 0;
+        soa_inject(s, cycle);
+        if (soa_switch(s, cycle) < 0) return -1;
+        if (s->occ_exact) {
+            for (int64_t p = 0; p < num_ports; p++) s->occ_sum_int[p] += s->occupied[p];
+        } else {
+            const double vcs = (double)s->num_vcs;
+            for (int64_t p = 0; p < num_ports; p++)
+                s->occ_sum[p] += (double)s->occupied[p] / vcs;
+        }
+    }
+    return stop;
 }

@@ -71,6 +71,7 @@ from repro.noc.soa_kernel import (
 )
 
 __all__ = [
+    "compiled",
     "ingress",
     "inject",
     "switch",
@@ -160,12 +161,16 @@ def _resolve_library():
     return _library or None
 
 
-def _bind(net):
-    """Resolve ``net``'s kernel: ``(generation, CompiledKernel | None)``."""
-    library = _resolve_library()
-    kernel = soa_kernel.CompiledKernel(library, net) if library is not None else None
-    net._kernel = (_generation, kernel)
-    return net._kernel
+def compiled(net):
+    """``net``'s :class:`~repro.noc.soa_kernel.CompiledKernel` binding, or
+    None when the NumPy kernel runs (bound on first use, rebound after a
+    kernel selection or a data-plane fault)."""
+    binding = net._kernel
+    if binding is None or binding[0] != _generation:
+        library = _resolve_library()
+        kernel = soa_kernel.CompiledKernel(library, net) if library is not None else None
+        binding = net._kernel = (_generation, kernel)
+    return binding[1]
 
 
 # -- phase 1: injection -------------------------------------------------------
@@ -173,10 +178,7 @@ def _bind(net):
 
 def inject(net, cycle: int) -> None:
     """Injection phase of one cycle, on the selected kernel."""
-    binding = net._kernel
-    if binding is None or binding[0] != _generation:
-        binding = _bind(net)
-    kernel = binding[1]
+    kernel = compiled(net)
     if kernel is None:
         _inject_numpy(net, cycle)
         return
@@ -320,10 +322,7 @@ def _refresh_first_free(net, ports: np.ndarray) -> None:
 
 def switch(net, cycle: int) -> None:
     """Allocate and execute this cycle's flit moves, on the selected kernel."""
-    binding = net._kernel
-    if binding is None or binding[0] != _generation:
-        binding = _bind(net)
-    kernel = binding[1]
+    kernel = compiled(net)
     if kernel is None or not kernel.routes:
         _switch_numpy(net, cycle)
         return
@@ -552,10 +551,7 @@ def ingress(
     count = len(sources)
     if count == 0:
         return 0
-    binding = net._kernel
-    if binding is None or binding[0] != _generation:
-        binding = _bind(net)
-    kernel = binding[1]
+    kernel = compiled(net)
     registry = net._registry
     if kernel is None:
         return _ingress_numpy(

@@ -326,7 +326,8 @@ def sim_phase_histogram() -> Histogram:
     """Per-phase kernel dispatch cost of the simulator backends."""
     return METRICS.histogram(
         "repro_sim_phase_seconds",
-        "per-cycle kernel phase cost by backend and phase",
+        "simulator kernel cost by backend and phase: one observation per cycle "
+        "for inject and switch, one per compiled window-driver call for window",
     )
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.noc.packet import Packet
+from repro.noc.simulator import EmissionPlan
 from repro.noc.topology import MeshTopology
 
 __all__ = ["FloodingConfig", "FloodingAttacker"]
@@ -164,6 +165,25 @@ class FloodingAttacker:
             return None
         destinations = np.full(sources.size, self.config.victim, dtype=np.int64)
         return sources, destinations, self.config.packet_size_flits, True
+
+    def emission_plan(self) -> EmissionPlan | None:
+        """The compiled window driver's form of :meth:`_draw_batch`: one draw
+        per attacker inside the attack window, every packet to the victim
+        (FIR 0 draws nothing, as :meth:`is_active_at` says)."""
+        if type(self) is not FloodingAttacker:
+            return None
+        config = self.config
+        return EmissionPlan(
+            rng=self.rng,
+            count=config.num_attackers,
+            size_flits=config.packet_size_flits,
+            malicious=True,
+            rate=config.fir,
+            sources=np.asarray(config.attackers, dtype=np.int64),
+            targets=np.full(config.num_attackers, config.victim, dtype=np.int64),
+            first=config.start_cycle,
+            last=config.end_cycle,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -15,6 +15,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.noc.packet import Packet
+from repro.noc.simulator import EmissionPlan
 from repro.noc.topology import MeshTopology
 
 __all__ = [
@@ -87,19 +88,20 @@ class SyntheticTraffic(ABC):
         patterns answer from a memoised full-mesh table instead.
         """
         if self.deterministic:
-            if self._dest_table is None:
-                self._dest_table = np.array(
-                    [
-                        self.destination_for(source)
-                        for source in range(self.topology.num_nodes)
-                    ],
-                    dtype=np.int64,
-                )
-            return self._dest_table[sources]
+            return self._destination_table()[sources]
         return np.array(
             [self.destination_for(int(source)) for source in sources],
             dtype=np.int64,
         )
+
+    def _destination_table(self) -> np.ndarray:
+        """Memoised full-mesh destination table of a deterministic pattern."""
+        if self._dest_table is None:
+            self._dest_table = np.array(
+                [self.destination_for(source) for source in range(self.topology.num_nodes)],
+                dtype=np.int64,
+            )
+        return self._dest_table
 
     # -- TrafficSource protocol ------------------------------------------------
     def _draw_batch(self, cycle: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -153,6 +155,21 @@ class SyntheticTraffic(ABC):
         sources, destinations = batch
         return sources, destinations, self.packet_size_flits, False
 
+    def emission_plan(self) -> EmissionPlan | None:
+        """The compiled window driver's form of :meth:`_draw_batch`: one draw
+        per node, destinations from the memoised table.  Only the registered
+        patterns are expressed; a subclass may draw differently (None)."""
+        if type(self) is not SYNTHETIC_PATTERNS.get(self.name) or not self.deterministic:
+            return None
+        return EmissionPlan(
+            rng=self.rng,
+            count=self.topology.num_nodes,
+            size_flits=self.packet_size_flits,
+            malicious=False,
+            rate=self.injection_rate,
+            targets=self._destination_table(),
+        )
+
     # -- helpers -----------------------------------------------------------
     def _id_bits(self) -> int:
         """Number of bits needed to index nodes (bit-permutation patterns)."""
@@ -181,6 +198,19 @@ class UniformRandomTraffic(SyntheticTraffic):
         num = self.topology.num_nodes
         destinations = self.rng.integers(0, num - 1, size=sources.size)
         return destinations + (destinations >= sources)
+
+    def emission_plan(self) -> EmissionPlan | None:
+        """One draw per node; kept draws take uniform-random destinations
+        from one bulk bounded-integer draw (``targets=None``)."""
+        if type(self) is not UniformRandomTraffic or self.topology.num_nodes < 2:
+            return None
+        return EmissionPlan(
+            rng=self.rng,
+            count=self.topology.num_nodes,
+            size_flits=self.packet_size_flits,
+            malicious=False,
+            rate=self.injection_rate,
+        )
 
 
 class TornadoTraffic(SyntheticTraffic):

@@ -14,9 +14,11 @@ from repro.faults import (
     SilentMonitorFault,
     node_port_cells,
 )
+from repro.faults.base import clone_sample
+from repro.monitor.features import FeatureKind
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.noc.simulator import NoCSimulator, SimulationConfig
-from repro.noc.topology import MeshTopology
+from repro.noc.topology import Direction, MeshTopology
 
 from tests.faults.test_monitor_faults import make_sample
 
@@ -234,3 +236,124 @@ class TestGuardFaultInvariants:
         # Without degraded mode the silent node is fenced on naming alone —
         # exactly the failure mode degraded mode exists to prevent.
         assert guard.engaged_nodes == [silent]
+
+
+class _TupleStuckScan:
+    """The per-node tuple scan the vectorized stuck detector replaced: the
+    reference its streaks, stuck sets and masking are pinned against."""
+
+    def __init__(self, topology, stuck_after):
+        self.cells = [node_port_cells(topology, n) for n in range(topology.num_nodes)]
+        self.stuck_after = stuck_after
+        self.previous = [None] * topology.num_nodes
+        self.streaks = np.zeros(topology.num_nodes, dtype=np.int64)
+        self.stuck = set()
+
+    def scan(self, sample):
+        """Update from a (clamped) window; returns its masked copy."""
+        for node, cells in enumerate(self.cells):
+            signature = tuple(
+                float(frame_set.frames[direction].values[row, col])
+                for direction, row, col in cells
+                for frame_set in (sample.vco, sample.boc)
+            )
+            previous = self.previous[node]
+            self.previous[node] = signature
+            if (
+                previous is not None
+                and signature == previous
+                and any(value != 0.0 for value in signature)
+            ):
+                self.streaks[node] += 1
+            else:
+                self.streaks[node] = 0
+                self.stuck.discard(node)
+            if self.streaks[node] >= self.stuck_after - 1:
+                self.stuck.add(node)
+        masked = clone_sample(sample)
+        for node in self.stuck:
+            for direction, row, col in self.cells[node]:
+                masked.vco.frames[direction].values[row, col] = 0.0
+                masked.boc.frames[direction].values[row, col] = 0.0
+        return masked
+
+
+def _set_node(sample, cells, values):
+    for (direction, row, col), (vco, boc) in zip(cells, values):
+        sample.vco.frames[direction].values[row, col] = vco
+        sample.boc.frames[direction].values[row, col] = boc
+
+
+def _node_values(sample, cells):
+    return [
+        (
+            sample.vco.frames[direction].values[row, col],
+            sample.boc.frames[direction].values[row, col],
+        )
+        for direction, row, col in cells
+    ]
+
+
+def _faulty_stream(topology, rng, windows):
+    """Random windows in which nodes freeze for a few windows and heal,
+    one node idles at zero, one keeps a constant signature whose zero cell
+    flips sign, and frozen nodes sometimes carry a NaN cell."""
+    cells = [node_port_cells(topology, n) for n in range(topology.num_nodes)]
+    idle, signed = 0, topology.num_nodes - 1
+    frozen: dict[int, int] = {}
+    previous = None
+    for window in range(windows):
+        sample = make_sample(topology, 100 * (window + 1), rng=rng)
+        _set_node(sample, cells[idle], [(0.0, 0.0)] * len(cells[idle]))
+        sign = -1.0 if window % 2 else 1.0
+        _set_node(
+            sample,
+            cells[signed],
+            [(0.5, sign * 0.0)] + [(0.25, 3.0)] * (len(cells[signed]) - 1),
+        )
+        if previous is not None:
+            for node in rng.choice(topology.num_nodes - 1, size=2, replace=False):
+                frozen.setdefault(int(node) + 1, int(rng.integers(1, 6)))
+            for node in list(frozen):
+                if node == signed:
+                    continue
+                _set_node(sample, cells[node], _node_values(previous, cells[node]))
+                if rng.random() < 0.1:
+                    direction, row, col = cells[node][0]
+                    sample.vco.frames[direction].values[row, col] = np.nan
+                frozen[node] -= 1
+                if frozen[node] == 0:
+                    del frozen[node]
+        previous = sample
+        yield sample
+
+
+class TestVectorizedStuckScan:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("stuck_after", [2, 3, 5])
+    def test_matches_per_node_tuple_scan(self, seed, stuck_after):
+        topology = MeshTopology(rows=5, columns=6)
+        sanitizer = WindowSanitizer(
+            topology, DegradedModeConfig(stuck_after=stuck_after), sample_period=100
+        )
+        reference = _TupleStuckScan(topology, stuck_after)
+        rng = np.random.default_rng(seed)
+        held = 0
+        for sample in _faulty_stream(topology, rng, windows=60):
+            expected = reference.scan(sample)
+            clean, health = sanitizer.sanitize(sample)
+            assert health.stuck == frozenset(reference.stuck)
+            assert np.array_equal(sanitizer._streaks, reference.streaks)
+            for kind in FeatureKind:
+                for direction in Direction.cardinal():
+                    assert np.array_equal(
+                        clean.feature(kind).frames[direction].values,
+                        expected.feature(kind).frames[direction].values,
+                        equal_nan=True,
+                    )
+            held += len(health.stuck)
+        assert held > 0, "the stream never held a node stuck"
+        # The constant node whose zero cell flips sign is stuck (0.0 == -0.0);
+        # the all-zero idle node never is.
+        assert topology.num_nodes - 1 in health.stuck
+        assert 0 not in health.stuck

@@ -4,8 +4,9 @@ The kernel equivalence itself is pinned by running every equivalence suite
 under both kernels (the ``soa_kernel_name`` fixture); these tests cover the
 build path: a missing compiler falls back to the NumPy kernel with one
 warning and identical results, a corrupt or stale library is rebuilt and
-never loaded, and builds live in a hidden directory of the cache root that
-size-cap eviction leaves alone.
+never loaded, the build key follows the linked NumPy random library, and
+builds live in a hidden directory of the cache root that size-cap eviction
+leaves alone.
 """
 
 import ctypes
@@ -168,6 +169,25 @@ class TestLibraryCache:
         key = soa_kernel._build_key(compiler)
         monkeypatch.setattr(soa_kernel, "CFLAGS", (*soa_kernel.CFLAGS, "-g"))
         assert soa_kernel._build_key(compiler) != key
+
+    def test_build_key_tracks_linked_numpy(self, monkeypatch, tmp_path):
+        compiler = soa_kernel.find_compiler()
+        key = soa_kernel._build_key(compiler)
+        archive = tmp_path / "libnpyrandom.a"
+        archive.write_bytes(soa_kernel.NUMPY_RANDOM_ARCHIVE.read_bytes() + b"\0")
+        monkeypatch.setattr(soa_kernel, "NUMPY_RANDOM_ARCHIVE", archive)
+        assert soa_kernel._build_key(compiler) != key
+        monkeypatch.undo()
+        monkeypatch.setattr(soa_kernel.np, "__version__", "0.0.0")
+        assert soa_kernel._build_key(compiler) != key
+
+    @pytest.mark.parametrize("missing", ["NUMPY_RANDOM_ARCHIVE", "NUMPY_BITGEN_HEADER"])
+    def test_missing_numpy_random_library_is_a_build_error(
+        self, monkeypatch, tmp_path, missing
+    ):
+        monkeypatch.setattr(soa_kernel, missing, tmp_path / "absent")
+        with pytest.raises(soa_kernel.KernelBuildError, match="NumPy random"):
+            soa_kernel.load_library(tmp_path / "kernels")
 
     def test_no_fast_math(self):
         assert "-ffp-contract=off" in soa_kernel.CFLAGS
